@@ -15,6 +15,14 @@ class DegenerateGeometryError(ValueError):
     """The source position coincides with an array element (some R_n == 0)."""
 
 
+def require_finite(obj) -> None:
+    """Reject NaN and infinite fields of a numeric dataclass, naming the field;
+    None (an unset optional field) passes."""
+    for name, value in vars(obj).items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array of isotropic elements on one axis.
@@ -29,6 +37,7 @@ class ArrayConfig:
     light_speed: float = LIGHT_SPEED
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.carrier_freq <= 0:
             raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
         if int(self.n_elements) != self.n_elements or self.n_elements < 1:
@@ -37,8 +46,9 @@ class ArrayConfig:
             raise ValueError(f"light_speed must be positive, got {self.light_speed}")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        # a tiny carrier frequency can still overflow the default spacing
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
 
     @property
     def wavelength(self) -> float:
@@ -70,25 +80,31 @@ class PolarPosition:
     range_m: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.range_m <= 0:
             raise ValueError(f"range_m must be positive, got {self.range_m}")
 
 
-def element_distances(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
-    """Exact source-to-element distances R_n for all n, by the law of cosines."""
-    nd = cfg.element_offsets()
-    cos_t = math.cos(pos.theta)
-    r = pos.range_m
-    sq = r * r + nd * nd - 2.0 * r * nd * cos_t
-    # roundoff can push exactly-collinear squares a few ulp below zero
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq)
+def distances(r, nd, cos_t):
+    """Source-to-element distances R_n, broadcast over r, nd and cos_t.
+
+    Assembled as (r - nd)^2 + 2*r*nd*(1 - cos) rather than the direct law of
+    cosines r^2 + nd^2 - 2*r*nd*cos, which cancels catastrophically near the
+    axis; both terms are nonnegative, so the square never dips below zero.
+    """
+    gap = r - nd
+    dist = np.sqrt(gap * gap + (2.0 * r * nd) * (1.0 - cos_t))
     if np.any(dist == 0.0):
-        n_bad = int(np.flatnonzero(dist == 0.0)[0])
+        n_bad = int(np.argwhere(dist == 0.0)[0][-1])
         raise DegenerateGeometryError(
-            f"source at (theta={pos.theta}, r={r}) coincides with element {n_bad}"
+            f"the source coincides with array element {n_bad} (R_n = 0)"
         )
     return dist
+
+
+def element_distances(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
+    """Exact source-to-element distances R_n for all n."""
+    return distances(pos.range_m, cfg.element_offsets(), math.cos(pos.theta))
 
 
 def element_distance(cfg: ArrayConfig, pos: PolarPosition, n: int) -> float:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .arrays import ArrayConfig, DegenerateGeometryError
+from .arrays import ArrayConfig, require_finite
 from .link import DEFAULT_BUDGET, LinkBudget, se_loss_worst, se_loss_worst_batch
 from .metrics import (
     AngleSearchPolicy,
@@ -32,8 +32,10 @@ class Tolerances:
     delta_se: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.delta_inf <= 0 or self.delta_2 <= 0 or self.delta_se <= 0:
-            raise ValueError("all tolerances must be positive")
+        require_finite(self)
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,7 @@ class EnvelopeSearchPolicy:
     max_scan_factor: float = 100.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.r_min is not None and self.r_min <= 0:
             raise ValueError("r_min must be positive")
         if self.points_per_decade < 10:
@@ -189,22 +192,14 @@ def epf_distance(
     if spf <= r_min:
         return r_min
     grid = _log_grid(r_min, spf, policy.points_per_decade)
-    violating = phase_amp_envelope(cfg, grid) >= delta_inf
-    if not violating.any():
-        return r_min
-    last = int(np.flatnonzero(violating)[-1])
-    if last == len(grid) - 1:
-        raise HorizonExceededError(
-            "majorant still violates tolerance at the small-phase radius"
-        )
-    lo, hi = float(grid[last]), float(grid[last + 1])
-    while hi - lo > policy.bisection_tol * hi:
-        mid = math.sqrt(lo * hi)
-        if phase_amp_envelope(cfg, mid) < delta_inf:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _last_crossing(
+        lambda r: phase_amp_envelope(cfg, r),
+        grid,
+        phase_amp_envelope(cfg, grid),
+        delta_inf,
+        policy.bisection_tol,
+        "majorant still violates tolerance at the small-phase radius",
+    )
 
 
 def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
@@ -245,13 +240,31 @@ def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _evaluate(metric: Callable[[float], float], r: float) -> float:
-    # a degenerate scan point (reachable at r_min = aperture, where the grid
-    # endpoint angle is collinear with the last element) counts as a violation
-    try:
-        return metric(r)
-    except DegenerateGeometryError:
-        return math.inf
+def _last_crossing(
+    metric: Callable[[float], float],
+    grid: np.ndarray,
+    values: np.ndarray,
+    delta: float,
+    bisection_tol: float,
+    horizon_message: str,
+) -> float:
+    """Range past the last grid point where values reach delta, bisected to
+    bisection_tol (relative) inside the cell after it; the scan start grid[0]
+    when no grid point violates.  NaN/inf values count as violations."""
+    violating = ~(values < delta)
+    if not violating.any():
+        return float(grid[0])
+    last = int(np.flatnonzero(violating)[-1])
+    if last == len(grid) - 1:
+        raise HorizonExceededError(horizon_message)
+    lo, hi = float(grid[last]), float(grid[last + 1])
+    while hi - lo > bisection_tol * hi:
+        mid = math.sqrt(lo * hi)
+        if metric(mid) < delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def optimal_radius(
@@ -287,34 +300,24 @@ def optimal_radius(
         certified = False
     grid = _log_grid(r_min, horizon, policy.points_per_decade)
     if batch_metric is not None:
-        try:
-            values = np.asarray(batch_metric(grid), dtype=float)
-        except DegenerateGeometryError:
-            values = np.array([_evaluate(metric, float(r)) for r in grid])
+        values = np.asarray(batch_metric(grid), dtype=float)
     else:
-        values = np.array([_evaluate(metric, float(r)) for r in grid])
-    violating = ~(values < delta)  # NaN/inf count as violations
+        values = np.array([metric(float(r)) for r in grid])
     if not certified:
         tail = values[grid >= horizon / 10.0]
         if np.any(~(tail < delta * policy.certification_margin)):
             raise HorizonExceededError(
                 f"trailing decade of the heuristic scan is not safely below {delta}"
             )
-    if not violating.any():
-        return OptimalRadius(radius=r_min, certified=certified)
-    last = int(np.flatnonzero(violating)[-1])
-    if last == len(grid) - 1:
-        raise HorizonExceededError(
-            f"tolerance {delta} still violated at the scan horizon {horizon:.6g} m"
-        )
-    lo, hi = float(grid[last]), float(grid[last + 1])
-    while hi - lo > policy.bisection_tol * hi:
-        mid = math.sqrt(lo * hi)
-        if _evaluate(metric, mid) < delta:
-            hi = mid
-        else:
-            lo = mid
-    return OptimalRadius(radius=hi, certified=certified)
+    radius = _last_crossing(
+        metric,
+        grid,
+        values,
+        delta,
+        policy.bisection_tol,
+        f"tolerance {delta} still violated at the scan horizon {horizon:.6g} m",
+    )
+    return OptimalRadius(radius=radius, certified=certified)
 
 
 def boundary_set(

@@ -24,10 +24,10 @@ from .sweep import (
     CurveRecord,
     RangeGrid,
     SweepSpec,
-    _curve_values,
     boundary_csv_lines,
     config_id,
     curve_csv_lines,
+    curve_values,
     preset,
     run_sweep,
     write_lines,
@@ -252,7 +252,7 @@ def cmd_curve(args) -> int:
     )
     # curve output needs no transition radii: evaluate the grid directly
     grid = spec.r_grid.values()
-    values, thetas, errors = _curve_values(cfg, args.metric, grid, spec)
+    values, thetas, errors = curve_values(cfg, args.metric, grid, spec)
     for message in errors:
         print(message, file=sys.stderr)
     cid = config_id(cfg)
@@ -417,12 +417,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # DegenerateGeometryError is a ValueError, so the solver errors go first
     except (HorizonExceededError, DegenerateGeometryError, ArithmeticError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

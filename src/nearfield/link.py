@@ -7,15 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, PolarPosition, element_distances
+from .arrays import ArrayConfig, PolarPosition, element_distances, require_finite
 from .metrics import (
     AngleSearchPolicy,
     MetricSample,
-    _at_value,
-    _eta_grid,
-    _geometry,
-    _worst_over_angle,
-    _worst_over_angle_batch,
+    array_gain_efficiency,
+    eta_and_inv2_sum,
+    geometry,
+    worst_over_angle,
+    worst_over_angle_batch,
 )
 
 _LN2 = math.log(2.0)
@@ -30,6 +30,7 @@ class LinkBudget:
     pilot_len: int
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.pilot_snr <= 0:
             raise ValueError("pilot_snr must be positive")
         if self.data_snr < 0:
@@ -70,6 +71,15 @@ def se_optimal(gain: float, budget: LinkBudget) -> float:
     return math.log1p(budget.data_snr * gain) / _LN2
 
 
+def _snr_mismatched(gain, eta, budget: LinkBudget):
+    """snr_mismatched without input checks, for floats or numpy arrays alike."""
+    pilot_energy = budget.pilot_len * budget.pilot_snr
+    num = eta * eta * gain * gain * budget.data_snr
+    den = gain * eta * budget.data_snr / pilot_energy + eta * gain + 1.0 / pilot_energy
+    # the ratio never exceeds eta*G*rho_d algebraically; keep that exact in floats
+    return np.minimum(num / den, eta * gain * budget.data_snr)
+
+
 def snr_mismatched(gain: float, eta: float, budget: LinkBudget) -> float:
     """Post-combiner SNR when the combiner is estimated on the planar subspace.
 
@@ -78,19 +88,15 @@ def snr_mismatched(gain: float, eta: float, budget: LinkBudget) -> float:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if gain <= 0:
-        raise ValueError("gain must be positive")
-    pilot_energy = budget.pilot_len * budget.pilot_snr
-    num = eta * eta * gain * gain * budget.data_snr
-    den = gain * eta * budget.data_snr / pilot_energy + eta * gain + 1.0 / pilot_energy
-    # the ratio never exceeds eta*G*rho_d algebraically; keep that exact in floats
-    return min(num / den, eta * gain * budget.data_snr)
+    if not (math.isfinite(gain) and gain > 0):
+        raise ValueError(f"gain must be finite and positive, got {gain}")
+    return float(_snr_mismatched(gain, eta, budget))
 
 
 def se_loss(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> SEReport:
     """SE penalty of planar-subspace estimation and combining at one position."""
     gain = channel_gain(cfg, pos)
-    eta = _at_value(cfg, pos, _eta_grid)
+    eta = array_gain_efficiency(cfg, pos)
     se_opt = se_optimal(gain, budget)
     se_mis = math.log1p(snr_mismatched(gain, eta, budget)) / _LN2
     return SEReport(se_opt=se_opt, se_mis=se_mis, delta_se=se_opt - se_mis, eta=eta, gain=gain)
@@ -98,20 +104,16 @@ def se_loss(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> SERepor
 
 def _se_loss_grid(budget: LinkBudget):
     def grid_fn(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-        dist, _, dphi = _geometry(cfg, r, cos_t)
+        # the (B, T, N) arrays stay referenced until the (B, T) arithmetic below
+        # is done: released earlier, glibc tends to trim the heap and re-fault
+        # their pages on the next block (+25% time on a 10 GHz / N=5 scan)
+        dist, _, dphi = geometry(cfg, r, cos_t)
         inv = 1.0 / dist
-        inv2_sum = (inv * inv).sum(axis=2)
+        eta, inv2_sum = eta_and_inv2_sum(cfg.n_elements, inv, dphi)
         amp = cfg.wavelength / (4.0 * math.pi)
         gain = (amp * amp) * inv2_sum
-        csum = (np.cos(dphi) * inv).sum(axis=2)
-        ssum = (np.sin(dphi) * inv).sum(axis=2)
-        eta = np.minimum((csum * csum + ssum * ssum) / (cfg.n_elements * inv2_sum), 1.0)
-        pilot_energy = budget.pilot_len * budget.pilot_snr
         snr_opt = budget.data_snr * gain
-        num = eta * eta * gain * gain * budget.data_snr
-        den = gain * eta * budget.data_snr / pilot_energy + eta * gain + 1.0 / pilot_energy
-        snr_mis = np.minimum(num / den, eta * gain * budget.data_snr)
-        return (np.log1p(snr_opt) - np.log1p(snr_mis)) / _LN2
+        return (np.log1p(snr_opt) - np.log1p(_snr_mismatched(gain, eta, budget))) / _LN2
 
     return grid_fn
 
@@ -123,7 +125,7 @@ def se_loss_worst(
     policy: AngleSearchPolicy | None = None,
 ) -> MetricSample:
     """Worst-case SE loss over the look angle at range r, in bits/s/Hz."""
-    return _worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _se_loss_grid(budget))
+    return worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _se_loss_grid(budget))
 
 
 def se_loss_worst_batch(
@@ -133,14 +135,14 @@ def se_loss_worst_batch(
     policy: AngleSearchPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector form of se_loss_worst: (values, theta_stars) for an array of ranges."""
-    return _worst_over_angle_batch(
+    return worst_over_angle_batch(
         cfg, r_values, policy or AngleSearchPolicy(), _se_loss_grid(budget)
     )
 
 
 def nmse_lower_bound(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> float:
     """Floor of the planar-constrained estimator's NMSE: (1 - eta) + noise term."""
-    eta = _at_value(cfg, pos, _eta_grid)
+    eta = array_gain_efficiency(cfg, pos)
     noise = 1.0 / (budget.pilot_len * budget.pilot_snr * channel_gain(cfg, pos))
     return (1.0 - eta) + noise
 

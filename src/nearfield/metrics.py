@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .arrays import ArrayConfig, DegenerateGeometryError, PolarPosition
+from .arrays import ArrayConfig, PolarPosition, distances, require_finite
 
 THETA_INSET = 1e-9
 """Offset of the angle-grid endpoints, keeping the search on the open interval."""
@@ -41,6 +40,7 @@ class AngleSearchPolicy:
     refine_max_iter: int = 200
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.coarse_grid_points < 3:
             raise ValueError("coarse_grid_points must be at least 3")
         if self.refine_tolerance <= 0:
@@ -58,26 +58,19 @@ class MetricSample:
     theta_star: float
 
 
-def _geometry(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray):
+def geometry(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray):
     """Distances, range offsets, and model phase gaps for ranges x cosines.
 
     r has shape (B,); cos_t has shape (B, T) or (1, T).  Returns three
     (B, T, N) arrays: R, R - r, and dphi = k*((R - r) + n*d*cos), the phase by
-    which the spherical model leads the planar one at each element.  R is
-    assembled as (r - nd)^2 + 2*r*nd*(1 - cos), which is exact where the
-    direct law-of-cosines form cancels catastrophically, and R - r as
-    (R^2 - r^2)/(R + r) for the same reason.
+    which the spherical model leads the planar one at each element.  R comes
+    from `arrays.distances`; R - r is assembled as (R^2 - r^2)/(R + r), which
+    does not cancel when R is close to r.
     """
     nd = cfg.element_offsets()
     r3 = r[:, None, None]
     cos3 = cos_t[:, :, None]
-    gap = r3 - nd
-    sq = gap * gap + (2.0 * r3 * nd) * (1.0 - cos3)
-    dist = np.sqrt(sq)
-    if np.any(dist == 0.0):
-        raise DegenerateGeometryError(
-            "a searched position coincides with an array element (R_n = 0)"
-        )
+    dist = distances(r3, nd, cos3)
     rmr = nd * (nd - (2.0 * r3) * cos3) / (dist + r3)
     dphi = cfg.wavenumber * (rmr + nd * cos3)
     return dist, rmr, dphi
@@ -96,25 +89,31 @@ def _element_mismatch_sq(r3: np.ndarray, dist: np.ndarray, rmr: np.ndarray, dphi
 
 
 def _linf_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-    dist, rmr, dphi = _geometry(cfg, r, cos_t)
+    dist, rmr, dphi = geometry(cfg, r, cos_t)
     return np.sqrt(_element_mismatch_sq(r[:, None, None], dist, rmr, dphi).max(axis=2))
 
 
 def _l2_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-    dist, rmr, dphi = _geometry(cfg, r, cos_t)
+    dist, rmr, dphi = geometry(cfg, r, cos_t)
     num = _element_mismatch_sq(r[:, None, None], dist, rmr, dphi).sum(axis=2)
     den = (1.0 / (dist * dist)).sum(axis=2)
     return np.sqrt(num / den)
 
 
-def _eta_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-    dist, _, dphi = _geometry(cfg, r, cos_t)
-    inv = 1.0 / dist
+def eta_and_inv2_sum(n_elements: int, inv: np.ndarray, dphi: np.ndarray):
+    """Array-gain efficiency eta and sum_n 1/R_n^2 from the inverse distances
+    1/R and phase gaps dphi that `geometry` yields (elements on the last axis)."""
+    inv2_sum = (inv * inv).sum(axis=2)
     csum = (np.cos(dphi) * inv).sum(axis=2)
     ssum = (np.sin(dphi) * inv).sum(axis=2)
-    eta = (csum * csum + ssum * ssum) / (cfg.n_elements * (inv * inv).sum(axis=2))
+    eta = (csum * csum + ssum * ssum) / (n_elements * inv2_sum)
     # Cauchy-Schwarz holds exactly; trim the few-ulp overshoot
-    return np.minimum(eta, 1.0)
+    return np.minimum(eta, 1.0), inv2_sum
+
+
+def _eta_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
+    dist, _, dphi = geometry(cfg, r, cos_t)
+    return eta_and_inv2_sum(cfg.n_elements, 1.0 / dist, dphi)[0]
 
 
 def _at_value(cfg: ArrayConfig, pos: PolarPosition, grid_fn) -> float:
@@ -138,44 +137,12 @@ def array_gain_efficiency(cfg: ArrayConfig, pos: PolarPosition) -> float:
     return _at_value(cfg, pos, _eta_grid)
 
 
-def golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float, max_iter: int
-) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]; returns (argmax, max).
-
-    Ties prefer the smaller abscissa so downstream results are deterministic.
-    """
-    a, b = lo, hi
-    if b - a <= tol:
-        mid = 0.5 * (a + b)
-        return mid, f(mid)
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * (b - a)
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = f(d)
-    if yc >= yd:
-        return c, yc
-    return d, yd
-
-
 def _golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int):
     """Vectorized golden-section maximization over per-row brackets.
 
     f maps an array of abscissas (one per row) to an array of values.  Each
     iteration evaluates one new point per row; carried points keep their
-    already-computed values so rows stay bit-identical to the scalar search.
+    already-computed values.  Ties prefer the smaller abscissa.
     """
     a = lo.astype(float).copy()
     b = hi.astype(float).copy()
@@ -214,16 +181,20 @@ def _clamped_cos(theta: np.ndarray) -> np.ndarray:
     return np.minimum(np.cos(theta), _COS_OPEN_MAX)
 
 
-def _worst_over_angle_batch(
+def worst_over_angle_batch(
     cfg: ArrayConfig,
     r_values: np.ndarray,
     policy: AngleSearchPolicy,
     grid_fn,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Worst metric value and maximizing angle for every range in r_values."""
+    """Worst metric value and maximizing angle for every range in r_values.
+
+    grid_fn(cfg, r, cos_t) maps B ranges and a (B, T) or (1, T) cosine array
+    to (B, T) metric values.
+    """
     r_values = np.asarray(r_values, dtype=float)
-    if np.any(r_values <= 0):
-        raise ValueError("all ranges must be positive")
+    if not np.all(np.isfinite(r_values) & (r_values > 0)):
+        raise ValueError("ranges must be finite and positive")
     if cfg.n_elements == 1:
         return np.zeros_like(r_values), np.zeros_like(r_values)
     thetas = _angle_grid(policy)
@@ -254,10 +225,11 @@ def _worst_over_angle_batch(
     return values, theta_stars
 
 
-def _worst_over_angle(
+def worst_over_angle(
     cfg: ArrayConfig, r: float, policy: AngleSearchPolicy, grid_fn
 ) -> MetricSample:
-    values, thetas = _worst_over_angle_batch(cfg, np.array([r], dtype=float), policy, grid_fn)
+    """Scalar form of worst_over_angle_batch for one range."""
+    values, thetas = worst_over_angle_batch(cfg, np.array([r], dtype=float), policy, grid_fn)
     return MetricSample(range_m=r, value=float(values[0]), theta_star=float(thetas[0]))
 
 
@@ -265,25 +237,25 @@ def e_linf_worst(
     cfg: ArrayConfig, r: float, policy: AngleSearchPolicy | None = None
 ) -> MetricSample:
     """Worst-case single-element mismatch over the look angle at range r."""
-    return _worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _linf_grid)
+    return worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _linf_grid)
 
 
 def e_l2_worst(
     cfg: ArrayConfig, r: float, policy: AngleSearchPolicy | None = None
 ) -> MetricSample:
     """Worst-case normalized total mismatch over the look angle at range r."""
-    return _worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _l2_grid)
+    return worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _l2_grid)
 
 
 def e_linf_worst_batch(
     cfg: ArrayConfig, r_values, policy: AngleSearchPolicy | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector form of e_linf_worst: (values, theta_stars) for an array of ranges."""
-    return _worst_over_angle_batch(cfg, r_values, policy or AngleSearchPolicy(), _linf_grid)
+    return worst_over_angle_batch(cfg, r_values, policy or AngleSearchPolicy(), _linf_grid)
 
 
 def e_l2_worst_batch(
     cfg: ArrayConfig, r_values, policy: AngleSearchPolicy | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector form of e_l2_worst: (values, theta_stars) for an array of ranges."""
-    return _worst_over_angle_batch(cfg, r_values, policy or AngleSearchPolicy(), _l2_grid)
+    return worst_over_angle_batch(cfg, r_values, policy or AngleSearchPolicy(), _l2_grid)

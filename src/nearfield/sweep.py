@@ -46,18 +46,22 @@ REFERENCE_RADII = {
 }
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    """Worker cap from NEARFIELD_THREADS; 0 or unset means auto."""
+    """Worker cap from NEARFIELD_THREADS; 0 or unset means the usable core count."""
     raw = os.environ.get("NEARFIELD_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
     try:
-        n = int(raw)
+        n = int(raw) if raw else 0
     except ValueError as exc:
         raise ValueError(f"NEARFIELD_THREADS must be an integer, got {raw!r}") from exc
     if n < 0:
         raise ValueError(f"NEARFIELD_THREADS must be nonnegative, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
+    return n or _usable_cores()
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,11 @@ def config_id(cfg: ArrayConfig) -> str:
     return f"{cfg.carrier_freq / 1e9:g}GHz-N{cfg.n_elements}"
 
 
-def _curve_values(
+def curve_values(
     cfg: ArrayConfig, metric: str, grid: np.ndarray, spec: SweepSpec
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Worst-case values, maximizing angles and per-point errors of one metric
+    on a range grid; points that fail become NaN gap markers."""
     batch = {
         "linf": lambda rs: e_linf_worst_batch(cfg, rs, spec.angle_policy),
         "l2": lambda rs: e_l2_worst_batch(cfg, rs, spec.angle_policy),
@@ -196,7 +202,7 @@ def _config_job(cfg: ArrayConfig, spec: SweepSpec):
             grid = spec.r_grid.values()
     if grid is not None:
         for metric in spec.metrics:
-            values, thetas, point_errors = _curve_values(cfg, metric, grid, spec)
+            values, thetas, point_errors = curve_values(cfg, metric, grid, spec)
             errors.extend(point_errors)
             curves.extend(
                 CurveRecord(

@@ -177,6 +177,8 @@ def test_invalid_values_exit_2(capsys):
         "--r-start", "5", "--r-stop", "1", "--r-points", "4",
     )
     assert code == 2
+    code, _, err = run_cli(capsys, "se", "--freq-ghz", "nan", "--elements", "5", "--range-m", "1")
+    assert code == 2 and "carrier_freq" in err
 
 
 def test_usage_errors_exit_2():
@@ -195,6 +197,14 @@ def test_solver_failure_exits_3(capsys):
     )
     assert code == 3
     assert "solver error" in err
+    # degenerate geometry: at 10 GHz, half-wave spacing, element 1 sits on
+    # the axis at 0.015 m
+    code, _, err = run_cli(
+        capsys, "se", "--freq-ghz", "10", "--elements", "5",
+        "--range-m", "0.015", "--theta-deg", "0",
+    )
+    assert code == 3
+    assert "solver error" in err and "element 1" in err
 
 
 def test_reproduce_bundle(capsys, tmp_path):

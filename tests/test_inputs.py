@@ -1,0 +1,53 @@
+"""Inputs are validated where they enter: NaN and infinity never get through."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nearfield import (
+    AngleSearchPolicy,
+    ArrayConfig,
+    EnvelopeSearchPolicy,
+    LinkBudget,
+    PolarPosition,
+    Tolerances,
+)
+
+FIELDS = [
+    (ArrayConfig, dict(carrier_freq=1e9, n_elements=4), name)
+    for name in ("carrier_freq", "n_elements", "spacing", "light_speed")
+] + [
+    (PolarPosition, dict(theta=0.5, range_m=2.0), name) for name in ("theta", "range_m")
+] + [
+    (Tolerances, {}, name) for name in ("delta_inf", "delta_2", "delta_se")
+] + [
+    (LinkBudget, dict(pilot_snr=1e4, data_snr=1e6, pilot_len=64), name)
+    for name in ("pilot_snr", "data_snr", "pilot_len")
+] + [
+    (AngleSearchPolicy, {}, name)
+    for name in ("coarse_grid_points", "refine_tolerance", "refine_max_iter")
+] + [
+    (EnvelopeSearchPolicy, {}, name)
+    for name in (
+        "r_min", "points_per_decade", "bisection_tol", "certification_margin", "max_scan_factor"
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "make, base, name", FIELDS, ids=[f"{make.__name__}.{name}" for make, _, name in FIELDS]
+)
+@settings(max_examples=25, deadline=None)
+@given(value=st.floats(allow_nan=True, allow_infinity=True))
+@example(value=math.nan)
+@example(value=math.inf)
+@example(value=-math.inf)
+def test_non_finite_field_rejected_by_name(make, base, name, value):
+    try:
+        make(**{**base, name: value})
+    except ValueError as exc:
+        assert math.isfinite(value) or name in str(exc)
+    else:
+        assert math.isfinite(value)

@@ -16,7 +16,8 @@ from nearfield import (
     e_linf_at,
     e_linf_worst,
 )
-from nearfield.metrics import e_l2_worst_batch, e_linf_worst_batch, golden_max
+from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
+from nearfield.metrics import _golden_max_batch, e_l2_worst_batch, e_linf_worst_batch
 
 RAYLEIGH_300_64 = 1.9845
 
@@ -164,12 +165,44 @@ def test_batch_matches_scalar(cfg10_5):
 def test_worst_rejects_nonpositive_range(cfg10_5):
     with pytest.raises(ValueError):
         e_linf_worst(cfg10_5, 0.0)
+    for worst in (
+        e_linf_worst,
+        e_l2_worst,
+        lambda cfg, r: se_loss_worst(cfg, r, DEFAULT_BUDGET),
+    ):
+        for r in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="ranges"):
+                worst(cfg10_5, r)
 
 
 def test_golden_max_finds_quadratic_peak():
-    x, v = golden_max(lambda t: -((t - 0.3) ** 2), 0.0, 1.0, 1e-9, 200)
-    assert x == pytest.approx(0.3, abs=1e-6)
-    assert v == pytest.approx(0.0, abs=1e-10)
+    x, v = _golden_max_batch(
+        lambda t: -((t - 0.3) ** 2), np.array([0.0]), np.array([1.0]), 1e-9, 200
+    )
+    assert x[0] == pytest.approx(0.3, abs=1e-6)
+    assert v[0] == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ArrayConfig(carrier_freq=f, n_elements=n) for f in (1e9, 28e9, 300e9) for n in (2, 5, 64)]
+    + [
+        ArrayConfig(carrier_freq=1e9, n_elements=4, spacing=1.0),
+        ArrayConfig(carrier_freq=3e9, n_elements=7, spacing=0.3),
+    ],
+    ids=lambda cfg: f"{cfg.carrier_freq / 1e9:g}GHz-N{cfg.n_elements}-d{cfg.spacing:g}",
+)
+def test_worst_case_search_never_hits_an_element(cfg):
+    # the searched cosine is clamped below 1, so a range on an element offset,
+    # or one ulp either side of it, still leaves every R_n > 0
+    nd = cfg.element_offsets()[1:]
+    ranges = np.concatenate([nd, np.nextafter(nd, 0.0), np.nextafter(nd, np.inf)])
+    for values, thetas in (
+        e_linf_worst_batch(cfg, ranges),
+        e_l2_worst_batch(cfg, ranges),
+        se_loss_worst_batch(cfg, ranges, DEFAULT_BUDGET),
+    ):
+        assert np.all(np.isfinite(values)) and np.all(thetas > 0.0)
 
 
 def test_eta_bias_at_rayleigh_worst_angle(cfg300):

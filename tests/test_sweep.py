@@ -62,6 +62,15 @@ def test_worker_count(monkeypatch):
     assert worker_count() >= 1
     monkeypatch.setenv("NEARFIELD_THREADS", "3")
     assert worker_count() == 3
+    # auto mode counts the cores this process may run on, not all of them
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("NEARFIELD_THREADS", "0")
+    assert worker_count() == 2
+    monkeypatch.delenv("NEARFIELD_THREADS")
+    assert worker_count() == 2
+    monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
+    assert worker_count() == 8
     monkeypatch.setenv("NEARFIELD_THREADS", "junk")
     with pytest.raises(ValueError):
         worker_count()
@@ -167,7 +176,7 @@ def test_gap_markers_on_per_point_failures(cfg1_2, monkeypatch):
     monkeypatch.setattr(sweep_mod, "e_linf_worst_batch", boom_batch)
     monkeypatch.setattr(sweep_mod, "e_linf_worst", flaky_scalar)
     spec = fast_spec([cfg1_2], ["linf"], RangeGrid(1.0, 3.0, 3))
-    values, thetas, errors = sweep_mod._curve_values(cfg1_2, "linf", spec.r_grid.values(), spec)
+    values, thetas, errors = sweep_mod.curve_values(cfg1_2, "linf", spec.r_grid.values(), spec)
     assert len(errors) == 1 and "forced point failure" in errors[0]
     assert np.isnan(values[1]) and np.isnan(thetas[1])
     assert values[0] == 1.0 and values[2] == 1.0
