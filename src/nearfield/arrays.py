@@ -23,6 +23,17 @@ def require_finite(obj) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_whole(obj, *names: str) -> None:
+    """Reject fractional values of the named count fields of a frozen
+    dataclass, naming the field; a whole float (721.0 from a JSON file) is
+    stored as the int it stands for."""
+    for name in names:
+        value = getattr(obj, name)
+        if int(value) != value:
+            raise ValueError(f"{name} must be an integer, got {value}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array of isotropic elements on one axis.
@@ -38,9 +49,10 @@ class ArrayConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_whole(self, "n_elements")
         if self.carrier_freq <= 0:
             raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
-        if int(self.n_elements) != self.n_elements or self.n_elements < 1:
+        if self.n_elements < 1:
             raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
         if self.light_speed <= 0:
             raise ValueError(f"light_speed must be positive, got {self.light_speed}")

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .arrays import ArrayConfig, require_finite
+from .arrays import ArrayConfig, require_finite, require_whole
 from .link import DEFAULT_BUDGET, LinkBudget, se_loss_worst, se_loss_worst_batch
 from .metrics import (
     AngleSearchPolicy,
@@ -17,6 +18,13 @@ from .metrics import (
     e_linf_worst,
     e_linf_worst_batch,
 )
+
+
+# Ranges per evaluation chunk of the last-crossing scan.  Chunk starts are
+# multiples of it counted from grid[0], so the worst-case kernels (64-row
+# blocks below 44 elements at the default angle density) group rows exactly as
+# one whole-grid call would, and a row's value does not depend on the scan.
+_SCAN_CHUNK = 256
 
 
 class HorizonExceededError(RuntimeError):
@@ -84,6 +92,7 @@ class EnvelopeSearchPolicy:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_whole(self, "points_per_decade")
         if self.r_min is not None and self.r_min <= 0:
             raise ValueError("r_min must be positive")
         if self.points_per_decade < 10:
@@ -191,11 +200,11 @@ def epf_distance(
     spf = spf_distance(cfg, delta_inf)
     if spf <= r_min:
         return r_min
-    grid = _log_grid(r_min, spf, policy.points_per_decade)
+    envelope = partial(phase_amp_envelope, cfg)
     return _last_crossing(
-        lambda r: phase_amp_envelope(cfg, r),
-        grid,
-        phase_amp_envelope(cfg, grid),
+        envelope,
+        envelope,
+        _log_grid(r_min, spf, policy.points_per_decade),
         delta_inf,
         policy.bisection_tol,
         "majorant still violates tolerance at the small-phase radius",
@@ -242,19 +251,43 @@ def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
 
 def _last_crossing(
     metric: Callable[[float], float],
+    batch_metric: Callable[[np.ndarray], np.ndarray] | None,
     grid: np.ndarray,
-    values: np.ndarray,
     delta: float,
     bisection_tol: float,
     horizon_message: str,
+    trailing: tuple[float, float, str] | None = None,
 ) -> float:
-    """Range past the last grid point where values reach delta, bisected to
-    bisection_tol (relative) inside the cell after it; the scan start grid[0]
-    when no grid point violates.  NaN/inf values count as violations."""
-    violating = ~(values < delta)
-    if not violating.any():
+    """Range past the last grid point where the metric reaches delta, bisected
+    with the scalar metric to bisection_tol (relative) inside the cell after
+    it; the scan start grid[0] when no grid point violates.  NaN/inf values
+    count as violations.
+
+    The grid is evaluated from the horizon downward, _SCAN_CHUNK ranges at a
+    time (metric mapped over the chunk when batch_metric is None), and the
+    scan stops at the first chunk that holds a violation: nothing below it can
+    move the last crossing.  `trailing`, as (r_from, limit, message) with
+    limit <= delta, requires every grid point at or beyond r_from to lie
+    below limit, raising HorizonExceededError(message) otherwise; the
+    violation check that may stop the scan comes after it in each chunk.
+    """
+    top = (len(grid) - 1) // _SCAN_CHUNK * _SCAN_CHUNK
+    for start in range(top, -1, -_SCAN_CHUNK):
+        chunk = grid[start : start + _SCAN_CHUNK]
+        if batch_metric is None:
+            values = np.array([metric(float(r)) for r in chunk])
+        else:
+            values = np.asarray(batch_metric(chunk), dtype=float)
+        if trailing is not None:
+            r_from, limit, message = trailing
+            if np.any(~(values[chunk >= r_from] < limit)):
+                raise HorizonExceededError(message)
+        violating = np.flatnonzero(~(values < delta))
+        if violating.size:
+            last = start + int(violating[-1])
+            break
+    else:
         return float(grid[0])
-    last = int(np.flatnonzero(violating)[-1])
     if last == len(grid) - 1:
         raise HorizonExceededError(horizon_message)
     lo, hi = float(grid[last]), float(grid[last + 1])
@@ -279,14 +312,16 @@ def optimal_radius(
 ) -> OptimalRadius:
     """Smallest radius beyond which metric(r) stays strictly below delta.
 
-    metric maps a range in meters to a worst-case (angle-maximized) value;
-    batch_metric, when given, must be its vectorized twin and is used for the
-    grid scan.  With `analytic_bound`, violations provably cannot occur beyond
-    it; the scan still extends to twice the bound to absorb the slack of the
-    Taylor-based majorants, and the result is certified.  Without it, the
-    scan runs to max_scan_factor * heuristic_horizon, requires the trailing
-    decade to sit below delta * certification_margin, and the result is not
-    certified.  Returns r_min when no scanned point violates the tolerance.
+    metric maps a range in meters to a worst-case (angle-maximized) value and
+    drives the bisection; batch_metric, when given, must be its vectorized
+    twin and is used for the grid scan, which runs from the horizon down and
+    stops at the last violation.  With `analytic_bound`, violations provably
+    cannot occur beyond it; the scan still extends to twice the bound to
+    absorb the slack of the Taylor-based majorants, and the result is
+    certified.  Without it, the scan runs to max_scan_factor *
+    heuristic_horizon, requires the trailing decade to sit below delta *
+    certification_margin, and the result is not certified.  Returns r_min
+    when no scanned point violates the tolerance.
     """
     if delta <= 0:
         raise ValueError("tolerance must be positive")
@@ -294,28 +329,24 @@ def optimal_radius(
     if analytic_bound is not None:
         horizon = 2.0 * max(analytic_bound, r_min)
         certified = True
+        trailing = None
     else:
         base = heuristic_horizon if heuristic_horizon else r_min
         horizon = policy.max_scan_factor * max(base, r_min)
         certified = False
-    grid = _log_grid(r_min, horizon, policy.points_per_decade)
-    if batch_metric is not None:
-        values = np.asarray(batch_metric(grid), dtype=float)
-    else:
-        values = np.array([metric(float(r)) for r in grid])
-    if not certified:
-        tail = values[grid >= horizon / 10.0]
-        if np.any(~(tail < delta * policy.certification_margin)):
-            raise HorizonExceededError(
-                f"trailing decade of the heuristic scan is not safely below {delta}"
-            )
+        trailing = (
+            horizon / 10.0,
+            delta * policy.certification_margin,
+            f"trailing decade of the heuristic scan is not safely below {delta}",
+        )
     radius = _last_crossing(
         metric,
-        grid,
-        values,
+        batch_metric,
+        _log_grid(r_min, horizon, policy.points_per_decade),
         delta,
         policy.bisection_tol,
         f"tolerance {delta} still violated at the scan horizon {horizon:.6g} m",
+        trailing,
     )
     return OptimalRadius(radius=radius, certified=certified)
 

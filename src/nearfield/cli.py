@@ -101,7 +101,7 @@ def _budget_from(args, file_cfg: dict) -> LinkBudget:
     return LinkBudget(
         pilot_snr=DEFAULT_BUDGET.pilot_snr if pilot_db is None else _db_to_linear(pilot_db),
         data_snr=DEFAULT_BUDGET.data_snr if data_db is None else _db_to_linear(data_db),
-        pilot_len=int(pilot_len),
+        pilot_len=pilot_len,
     )
 
 
@@ -131,12 +131,10 @@ def _angle_policy_from(args, file_cfg: dict) -> AngleSearchPolicy:
     section = file_cfg.get("angle_policy", {})
     defaults = AngleSearchPolicy()
     return AngleSearchPolicy(
-        coarse_grid_points=int(
-            _pick(getattr(args, "coarse_angles", None), section, "coarse_grid_points",
-                  defaults.coarse_grid_points)
-        ),
+        coarse_grid_points=_pick(getattr(args, "coarse_angles", None), section,
+                                 "coarse_grid_points", defaults.coarse_grid_points),
         refine_tolerance=_pick(None, section, "refine_tolerance", defaults.refine_tolerance),
-        refine_max_iter=int(_pick(None, section, "refine_max_iter", defaults.refine_max_iter)),
+        refine_max_iter=_pick(None, section, "refine_max_iter", defaults.refine_max_iter),
     )
 
 
@@ -145,10 +143,8 @@ def _envelope_policy_from(args, file_cfg: dict) -> EnvelopeSearchPolicy:
     defaults = EnvelopeSearchPolicy()
     return EnvelopeSearchPolicy(
         r_min=_pick(None, section, "r_min", defaults.r_min),
-        points_per_decade=int(
-            _pick(getattr(args, "points_per_decade", None), section, "points_per_decade",
-                  defaults.points_per_decade)
-        ),
+        points_per_decade=_pick(getattr(args, "points_per_decade", None), section,
+                                "points_per_decade", defaults.points_per_decade),
         bisection_tol=_pick(None, section, "bisection_tol", defaults.bisection_tol),
         certification_margin=_pick(
             None, section, "certification_margin", defaults.certification_margin

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, PolarPosition, element_distances, require_finite
+from .arrays import ArrayConfig, PolarPosition, element_distances, require_finite, require_whole
 from .metrics import (
     AngleSearchPolicy,
     MetricSample,
@@ -31,11 +31,12 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_whole(self, "pilot_len")
         if self.pilot_snr <= 0:
             raise ValueError("pilot_snr must be positive")
         if self.data_snr < 0:
             raise ValueError("data_snr must be nonnegative")
-        if int(self.pilot_len) != self.pilot_len or self.pilot_len < 1:
+        if self.pilot_len < 1:
             raise ValueError("pilot_len must be a positive integer")
 
 

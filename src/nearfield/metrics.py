@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, PolarPosition, distances, require_finite
+from .arrays import ArrayConfig, PolarPosition, distances, require_finite, require_whole
 
 THETA_INSET = 1e-9
 """Offset of the angle-grid endpoints, keeping the search on the open interval."""
@@ -41,6 +41,7 @@ class AngleSearchPolicy:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_whole(self, "coarse_grid_points", "refine_max_iter")
         if self.coarse_grid_points < 3:
             raise ValueError("coarse_grid_points must be at least 3")
         if self.refine_tolerance <= 0:

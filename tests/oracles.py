@@ -198,3 +198,39 @@ def nmse_monte_carlo(cfg, pos, budget, draws, seed):
     err = estimates - h_near[None, :]
     nmse = (np.abs(err) ** 2).sum(axis=1) / float(np.vdot(h_near, h_near).real)
     return float(nmse.mean()), float(nmse.std(ddof=1) / math.sqrt(draws))
+
+
+def optimal_radius_full_scan(
+    metric, batch_metric, delta, policy, r_min, analytic_bound=None, heuristic_horizon=None
+):
+    """Envelope search by brute force: evaluate every range of the log grid
+    from r_min to the horizon, take the last violation (NaN counts), then
+    bisect that cell geometrically with the scalar metric."""
+    if analytic_bound is not None:
+        horizon = 2.0 * max(analytic_bound, r_min)
+    else:
+        horizon = policy.max_scan_factor * max(heuristic_horizon or r_min, r_min)
+    n = max(int(math.ceil(math.log10(horizon / r_min) * policy.points_per_decade)) + 1, 16)
+    grid = np.geomspace(r_min, horizon, n)
+    if batch_metric is None:
+        values = np.array([metric(float(r)) for r in grid])
+    else:
+        values = np.asarray(batch_metric(grid), dtype=float)
+    if analytic_bound is None:
+        tail = values[grid >= horizon / 10.0]
+        if np.any(~(tail < delta * policy.certification_margin)):
+            raise RuntimeError("trailing decade not below the margin")
+    violating = np.flatnonzero(~(values < delta))
+    if violating.size == 0:
+        return float(grid[0])
+    last = int(violating[-1])
+    if last == n - 1:
+        raise RuntimeError("violated at the horizon")
+    lo, hi = float(grid[last]), float(grid[last + 1])
+    while hi - lo > policy.bisection_tol * hi:
+        mid = math.sqrt(lo * hi)
+        if metric(mid) < delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,9 @@ from nearfield import (
     spf_distance,
     sspf_distance,
 )
-from nearfield.metrics import e_linf_worst_batch
+from nearfield.boundaries import _SCAN_CHUNK, _log_grid
+from nearfield.link import DEFAULT_BUDGET, se_loss_worst_batch
+from nearfield.metrics import e_l2_worst_batch, e_linf_worst_batch
 
 FAST_ANGLES = AngleSearchPolicy(coarse_grid_points=241)
 FAST_ENVELOPE = EnvelopeSearchPolicy(points_per_decade=300)
@@ -212,14 +216,23 @@ def test_optimal_radius_never_again(cfg10_5):
     policy = EnvelopeSearchPolicy(points_per_decade=800)
     r_min = resolve_r_min(cfg10_5, policy)
     spf = spf_distance(cfg10_5, delta)
+    scanned = []
+
+    def batch(rs):
+        scanned.append(len(rs))
+        return e_linf_worst_batch(cfg10_5, rs)[0]
+
     res = optimal_radius(
         lambda r: e_linf_worst_batch(cfg10_5, np.array([r]))[0][0],
         delta,
         policy,
         r_min=r_min,
         analytic_bound=spf,
-        batch_metric=lambda rs: e_linf_worst_batch(cfg10_5, rs)[0],
+        batch_metric=batch,
     )
+    # the scan runs from the horizon down and stops at the last violation
+    grid_size = len(_log_grid(r_min, 2 * max(spf, r_min), policy.points_per_decade))
+    assert sum(scanned) < grid_size
     samples = np.geomspace(res.radius, 2 * max(spf, r_min), 1000)
     values, _ = e_linf_worst_batch(cfg10_5, samples)
     assert np.all(values < delta)
@@ -246,3 +259,169 @@ def test_boundary_set_structure(cfg10_5):
     assert bounds.opt_linf_certified and bounds.opt_l2_certified
     assert not bounds.opt_se_certified
     assert bounds.opt_se >= resolve_r_min(cfg10_5, FAST_ENVELOPE)
+
+
+# --- the last-crossing engine on synthetic metrics ---------------------------
+
+# r_min 1 m and analytic bound 50 m give a 100 m horizon: 809 ranges, three
+# full chunks and a 41-range top chunk
+ENGINE_POLICY = EnvelopeSearchPolicy(points_per_decade=404)
+ENGINE_GRID = _log_grid(1.0, 100.0, ENGINE_POLICY.points_per_decade)
+
+
+def _step_metric(cross: float, high: float = 1.0):
+    """Scalar and batch metric: `high` at and below `cross`, 0 above it; the
+    list collects every range the batch form was asked for."""
+    seen = []
+
+    def batch(rs):
+        seen.extend(rs)
+        return np.where(rs <= cross, high, 0.0)
+
+    return (lambda r: high if r <= cross else 0.0), batch, seen
+
+
+def _solve(metric, batch, **bound):
+    bound = bound or {"analytic_bound": 50.0}
+    return optimal_radius(metric, 0.5, ENGINE_POLICY, r_min=1.0, batch_metric=batch, **bound)
+
+
+@pytest.mark.parametrize(
+    "last, first_scanned",
+    [
+        (2 * _SCAN_CHUNK, 2 * _SCAN_CHUNK),  # first index of a chunk
+        (2 * _SCAN_CHUNK - 1, _SCAN_CHUNK),  # last index of a chunk
+        (0, 0),  # only grid[0] violates: every chunk is scanned
+    ],
+)
+def test_last_crossing_stops_at_the_violating_chunk(last, first_scanned):
+    metric, batch, seen = _step_metric(float(ENGINE_GRID[last]))
+    res = _solve(metric, batch)
+    assert ENGINE_GRID[last] < res.radius <= ENGINE_GRID[last + 1]
+    full = oracles.optimal_radius_full_scan(metric, None, 0.5, ENGINE_POLICY, 1.0,
+                                            analytic_bound=50.0)
+    assert res.radius == full
+    assert np.array_equal(np.sort(seen), ENGINE_GRID[first_scanned:])
+
+
+def test_last_crossing_without_violation_returns_scan_start():
+    metric, batch, seen = _step_metric(0.5)
+    assert _solve(metric, batch).radius == 1.0
+    assert len(seen) == len(ENGINE_GRID)
+
+
+def test_last_crossing_violation_at_the_horizon():
+    metric, batch, seen = _step_metric(float(ENGINE_GRID[-1]))
+    with pytest.raises(HorizonExceededError,
+                       match="^tolerance 0.5 still violated at the scan horizon 100 m$"):
+        _solve(metric, batch)
+    # the top chunk alone settles it
+    assert len(ENGINE_GRID) == 3 * _SCAN_CHUNK + 41 and len(seen) == 41
+
+
+def test_last_crossing_counts_nan_as_violation():
+    last = _SCAN_CHUNK + 7
+    metric, batch, _ = _step_metric(float(ENGINE_GRID[last]), high=math.nan)
+    res = _solve(metric, batch)
+    assert ENGINE_GRID[last] < res.radius <= ENGINE_GRID[last + 1]
+    assert res.radius == oracles.optimal_radius_full_scan(
+        metric, batch, 0.5, ENGINE_POLICY, 1.0, analytic_bound=50.0
+    )
+
+
+@pytest.mark.parametrize("lower", [100, 2 * _SCAN_CHUNK - 150])
+def test_trailing_margin_failure_wins_over_a_lower_violation(lower):
+    """A heuristic scan (horizon 100 m, trailing decade from 10 m, about index
+    404) whose trailing decade holds a value between delta * margin and delta
+    fails, even though a lower range violates in another chunk or in the same
+    chunk as the failing tail point."""
+    tail_start = int(np.flatnonzero(ENGINE_GRID >= 10.0)[0])
+    assert _SCAN_CHUNK < tail_start < 2 * _SCAN_CHUNK - 1
+    unsettled = ENGINE_GRID[tail_start + 1]
+    metric, step, _ = _step_metric(float(ENGINE_GRID[lower]))
+    heuristic = {"heuristic_horizon": 1.0}
+
+    def batch(rs):
+        return step(rs) + 0.4 * (rs == unsettled)
+
+    with pytest.raises(HorizonExceededError,
+                       match="^trailing decade of the heuristic scan is not safely below 0.5$"):
+        _solve(metric, batch, **heuristic)
+    # with the tail settled the same scan goes on to the lower violation
+    res = _solve(metric, step, **heuristic)
+    assert not res.certified
+    assert res.radius == oracles.optimal_radius_full_scan(
+        metric, step, 0.5, ENGINE_POLICY, 1.0, heuristic_horizon=1.0
+    )
+
+
+def test_last_crossing_maps_a_scalar_metric():
+    calls = []
+    cross = 30.0  # index about 597, in the chunk from 512
+
+    def metric(r):
+        calls.append(r)
+        return 2.0 / r
+
+    res = optimal_radius(metric, 2.0 / cross, ENGINE_POLICY, r_min=1.0, analytic_bound=50.0)
+    assert res.certified and res.radius == pytest.approx(cross, rel=1e-8)
+    full = oracles.optimal_radius_full_scan(
+        lambda r: 2.0 / r, None, 2.0 / cross, ENGINE_POLICY, 1.0, analytic_bound=50.0
+    )
+    assert res.radius == full
+    assert len(calls) < len(ENGINE_GRID)
+
+
+# --- equivalence with the whole-grid scan ------------------------------------
+
+EQUIV_ANGLES = AngleSearchPolicy(coarse_grid_points=181)
+EQUIV_ENVELOPE = EnvelopeSearchPolicy(points_per_decade=150)
+
+
+@pytest.mark.parametrize(
+    "freq_ghz, n_elements", [(1, 2), (10, 5), (28, 4), (300, 10), (300, 64)]
+)
+def test_optimal_radius_equals_full_scan(freq_ghz, n_elements):
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    tol = Tolerances()
+    r_min = resolve_r_min(cfg, EQUIV_ENVELOPE)
+    cases = [
+        (lambda rs: e_linf_worst_batch(cfg, rs, EQUIV_ANGLES)[0], tol.delta_inf,
+         {"analytic_bound": spf_distance(cfg, tol.delta_inf)}),
+        (lambda rs: e_l2_worst_batch(cfg, rs, EQUIV_ANGLES)[0], tol.delta_2,
+         {"analytic_bound": l2_certification_bound(cfg, tol.delta_2)}),
+        (lambda rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET, EQUIV_ANGLES)[0], tol.delta_se,
+         {"heuristic_horizon": max(rayleigh_distance(cfg), sspf_distance(cfg, tol.delta_inf))}),
+    ]
+    for batch, delta, bound in cases:
+        def metric(r, batch=batch):
+            return float(batch(np.array([r]))[0])
+
+        got = optimal_radius(
+            metric, delta, EQUIV_ENVELOPE, r_min=r_min, batch_metric=batch, **bound
+        )
+        want = oracles.optimal_radius_full_scan(
+            metric, batch, delta, EQUIV_ENVELOPE, r_min, **bound
+        )
+        assert got.radius == want, (delta, got.radius, want)
+
+
+@pytest.mark.parametrize("freq_ghz, n_elements", [(300, 64), (10, 5)])
+def test_batch_values_do_not_depend_on_grouping(freq_ghz, n_elements):
+    """The scan evaluates the grid in _SCAN_CHUNK-range slices counted from
+    grid[0]; every row must come out as in one whole-grid call, bit for bit.
+    At N=64 the kernel's 43-row blocks straddle the slice boundary; at N=5
+    its 64-row blocks line up with it."""
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    r_min = resolve_r_min(cfg, EnvelopeSearchPolicy())
+    grid = np.geomspace(r_min, 2 * spf_distance(cfg, 1e-3), 300)
+    kernels = [
+        lambda rs: e_linf_worst_batch(cfg, rs),
+        lambda rs: e_l2_worst_batch(cfg, rs),
+        lambda rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET),
+    ]
+    for kernel in kernels:
+        whole = kernel(grid)
+        parts = [kernel(grid[i : i + _SCAN_CHUNK]) for i in range(0, len(grid), _SCAN_CHUNK)]
+        for k in range(2):  # values and maximizing angles
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k])

@@ -169,9 +169,22 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert code == 2
 
 
-def test_invalid_values_exit_2(capsys):
+def test_invalid_values_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "boundaries", "--freq-ghz", "-1", "--elements", "4")
     assert code == 2 and "error" in err
+    # fractional counts in a config file are rejected, not truncated
+    for section, key, value in (
+        ("angle_policy", "coarse_grid_points", 3.5),
+        ("angle_policy", "refine_max_iter", 2.5),
+        ("envelope_policy", "points_per_decade", 100.5),
+        ("budget", "pilot_len", 63.5),
+    ):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        code, _, err = run_cli(
+            capsys, "boundaries", "--freq-ghz", "10", "--elements", "5", "--config", str(path)
+        )
+        assert code == 2 and key in err
     code, _, err = run_cli(
         capsys, "curve", "--metric", "linf", "--freq-ghz", "1", "--elements", "2",
         "--r-start", "5", "--r-stop", "1", "--r-points", "4",

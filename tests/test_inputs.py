@@ -51,3 +51,24 @@ def test_non_finite_field_rejected_by_name(make, base, name, value):
         assert math.isfinite(value) or name in str(exc)
     else:
         assert math.isfinite(value)
+
+
+COUNTS = [
+    (ArrayConfig, dict(carrier_freq=1e9), "n_elements", 4.5),
+    (LinkBudget, dict(pilot_snr=1e4, data_snr=1e6), "pilot_len", 63.5),
+    (AngleSearchPolicy, {}, "coarse_grid_points", 3.5),
+    (AngleSearchPolicy, {}, "refine_max_iter", 2.5),
+    (EnvelopeSearchPolicy, {}, "points_per_decade", 100.5),
+]
+
+
+@pytest.mark.parametrize(
+    "make, base, name, value", COUNTS,
+    ids=[f"{make.__name__}.{name}" for make, _, name, _ in COUNTS],
+)
+def test_fractional_count_rejected_by_name(make, base, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make(**base, **{name: value})
+    # a whole float (as a JSON config file may carry) is stored as an int
+    whole = getattr(make(**base, **{name: math.ceil(value) + 0.0}), name)
+    assert whole == math.ceil(value) and type(whole) is int
