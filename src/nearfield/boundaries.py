@@ -26,6 +26,12 @@ from .metrics import (
 # one whole-grid call would, and a row's value does not depend on the scan.
 _SCAN_CHUNK = 256
 
+# The uncertified (SE) search scans up to MAX_SCAN_FACTOR times its heuristic
+# horizon and requires the trailing decade of that scan to lie below
+# CERTIFICATION_MARGIN times the tolerance.
+MAX_SCAN_FACTOR = 100.0
+CERTIFICATION_MARGIN = 0.5
+
 
 class HorizonExceededError(RuntimeError):
     """Tolerance violations persist at the end of the scan horizon."""
@@ -87,8 +93,6 @@ class EnvelopeSearchPolicy:
     r_min: float | None = None
     points_per_decade: int = 2000
     bisection_tol: float = 1e-8
-    certification_margin: float = 0.5
-    max_scan_factor: float = 100.0
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -99,10 +103,6 @@ class EnvelopeSearchPolicy:
             raise ValueError("points_per_decade must be at least 10")
         if self.bisection_tol <= 0:
             raise ValueError("bisection_tol must be positive")
-        if not 0.0 < self.certification_margin <= 1.0:
-            raise ValueError("certification_margin must lie in (0, 1]")
-        if self.max_scan_factor < 1.0:
-            raise ValueError("max_scan_factor must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,9 @@ def optimal_radius(
     stops at the last violation.  With `analytic_bound`, violations provably
     cannot occur beyond it; the scan still extends to twice the bound to
     absorb the slack of the Taylor-based majorants, and the result is
-    certified.  Without it, the scan runs to max_scan_factor *
+    certified.  Without it, the scan runs to MAX_SCAN_FACTOR *
     heuristic_horizon, requires the trailing decade to sit below delta *
-    certification_margin, and the result is not certified.  Returns r_min
+    CERTIFICATION_MARGIN, and the result is not certified.  Returns r_min
     when no scanned point violates the tolerance.
     """
     if delta <= 0:
@@ -332,11 +332,11 @@ def optimal_radius(
         trailing = None
     else:
         base = heuristic_horizon if heuristic_horizon else r_min
-        horizon = policy.max_scan_factor * max(base, r_min)
+        horizon = MAX_SCAN_FACTOR * max(base, r_min)
         certified = False
         trailing = (
             horizon / 10.0,
-            delta * policy.certification_margin,
+            delta * CERTIFICATION_MARGIN,
             f"trailing decade of the heuristic scan is not safely below {delta}",
         )
     radius = _last_crossing(

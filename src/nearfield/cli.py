@@ -19,6 +19,7 @@ from .boundaries import (
 from .link import LinkBudget, DEFAULT_BUDGET, nmse_lower_bound, se_loss, se_loss_worst
 from .metrics import THETA_OPEN_MIN, AngleSearchPolicy
 from .sweep import (
+    METRIC_NAMES,
     PRESET_NAMES,
     REFERENCE_RADII,
     CurveRecord,
@@ -29,6 +30,7 @@ from .sweep import (
     curve_csv_lines,
     curve_values,
     preset,
+    radius_columns,
     run_sweep,
     write_lines,
 )
@@ -42,18 +44,18 @@ class CliConfigError(ValueError):
     """The --config file is malformed or contains invalid values."""
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+# settings sections take their keys from the dataclass fields; `array` and
+# `budget` keys are file names (spacing_m, *_snr_db in dB), not field names
 _CONFIG_SECTIONS = {
     "array": ("spacing_m", "light_speed"),
-    "tolerances": ("delta_inf", "delta_2", "delta_se"),
+    "tolerances": _field_names(Tolerances),
     "budget": ("pilot_snr_db", "data_snr_db", "pilot_len"),
-    "angle_policy": ("coarse_grid_points", "refine_tolerance", "refine_max_iter"),
-    "envelope_policy": (
-        "r_min",
-        "points_per_decade",
-        "bisection_tol",
-        "certification_margin",
-        "max_scan_factor",
-    ),
+    "angle_policy": _field_names(AngleSearchPolicy),
+    "envelope_policy": _field_names(EnvelopeSearchPolicy),
 }
 
 
@@ -80,77 +82,50 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _pick(flag_value, file_section: dict, key: str, default):
-    """CLI flag > config-file value > built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in file_section:
-        return file_section[key]
-    return default
+def _overlay(base, file_section: dict, **flags):
+    """`base` with config-file values over it and the flags that were given
+    (not None) over those: CLI flag > config file > `base`."""
+    given = {k: v for k, v in flags.items() if v is not None}
+    return dataclasses.replace(base, **{**file_section, **given})
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _db_to_linear(db: float | None) -> float | None:
+    return None if db is None else 10.0 ** (db / 10.0)
 
 
 def _budget_from(args, file_cfg: dict) -> LinkBudget:
-    section = file_cfg.get("budget", {})
-    pilot_db = _pick(args.pilot_snr_db, section, "pilot_snr_db", None)
-    data_db = _pick(args.data_snr_db, section, "data_snr_db", None)
-    pilot_len = _pick(args.pilot_len, section, "pilot_len", DEFAULT_BUDGET.pilot_len)
-    return LinkBudget(
-        pilot_snr=DEFAULT_BUDGET.pilot_snr if pilot_db is None else _db_to_linear(pilot_db),
-        data_snr=DEFAULT_BUDGET.data_snr if data_db is None else _db_to_linear(data_db),
-        pilot_len=pilot_len,
-    )
+    section = {
+        key.removesuffix("_db"): _db_to_linear(value) if key.endswith("_db") else value
+        for key, value in file_cfg.get("budget", {}).items()
+    }
+    return _overlay(DEFAULT_BUDGET, section, pilot_snr=_db_to_linear(args.pilot_snr_db),
+                    data_snr=_db_to_linear(args.data_snr_db), pilot_len=args.pilot_len)
 
 
 def _tolerances_from(args, file_cfg: dict) -> Tolerances:
-    section = file_cfg.get("tolerances", {})
-    defaults = Tolerances()
-    return Tolerances(
-        delta_inf=_pick(getattr(args, "delta_inf", None), section, "delta_inf", defaults.delta_inf),
-        delta_2=_pick(getattr(args, "delta_2", None), section, "delta_2", defaults.delta_2),
-        delta_se=_pick(getattr(args, "delta_se", None), section, "delta_se", defaults.delta_se),
-    )
+    return _overlay(Tolerances(), file_cfg.get("tolerances", {}),
+                    delta_inf=args.delta_inf, delta_2=args.delta_2, delta_se=args.delta_se)
 
 
 def _array_from(args, file_cfg: dict) -> ArrayConfig:
-    section = file_cfg.get("array", {})
-    spacing = _pick(getattr(args, "spacing_m", None), section, "spacing_m", None)
-    light_speed = _pick(None, section, "light_speed", None)
-    kwargs = {"carrier_freq": args.freq_ghz * 1e9, "n_elements": args.elements}
-    if spacing is not None:
-        kwargs["spacing"] = spacing
-    if light_speed is not None:
-        kwargs["light_speed"] = light_speed
-    return ArrayConfig(**kwargs)
+    section = {
+        "spacing" if key == "spacing_m" else key: value
+        for key, value in file_cfg.get("array", {}).items()
+    }
+    if args.spacing_m is not None:
+        section["spacing"] = args.spacing_m
+    return ArrayConfig(carrier_freq=args.freq_ghz * 1e9, n_elements=args.elements, **section)
 
 
 def _angle_policy_from(args, file_cfg: dict) -> AngleSearchPolicy:
-    section = file_cfg.get("angle_policy", {})
-    defaults = AngleSearchPolicy()
-    return AngleSearchPolicy(
-        coarse_grid_points=_pick(getattr(args, "coarse_angles", None), section,
-                                 "coarse_grid_points", defaults.coarse_grid_points),
-        refine_tolerance=_pick(None, section, "refine_tolerance", defaults.refine_tolerance),
-        refine_max_iter=_pick(None, section, "refine_max_iter", defaults.refine_max_iter),
-    )
+    # `se` has no --coarse-angles flag
+    return _overlay(AngleSearchPolicy(), file_cfg.get("angle_policy", {}),
+                    coarse_grid_points=getattr(args, "coarse_angles", None))
 
 
 def _envelope_policy_from(args, file_cfg: dict) -> EnvelopeSearchPolicy:
-    section = file_cfg.get("envelope_policy", {})
-    defaults = EnvelopeSearchPolicy()
-    return EnvelopeSearchPolicy(
-        r_min=_pick(None, section, "r_min", defaults.r_min),
-        points_per_decade=_pick(getattr(args, "points_per_decade", None), section,
-                                "points_per_decade", defaults.points_per_decade),
-        bisection_tol=_pick(None, section, "bisection_tol", defaults.bisection_tol),
-        certification_margin=_pick(
-            None, section, "certification_margin", defaults.certification_margin
-        ),
-        max_scan_factor=_pick(None, section, "max_scan_factor", defaults.max_scan_factor),
-    )
+    return _overlay(EnvelopeSearchPolicy(), file_cfg.get("envelope_policy", {}),
+                    points_per_decade=args.points_per_decade)
 
 
 def _add_array_flags(p: argparse.ArgumentParser) -> None:
@@ -172,11 +147,15 @@ def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-se", type=float, default=None, help="SE tolerance in bits/s/Hz")
 
 
+def _add_angle_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--coarse-angles", type=int, default=None,
+                   help="coarse angle-grid size override")
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--points-per-decade", type=int, default=None,
                    help="envelope scan density override")
-    p.add_argument("--coarse-angles", type=int, default=None,
-                   help="coarse angle-grid size override")
+    _add_angle_flag(p)
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -203,16 +182,9 @@ def cmd_boundaries(args) -> int:
             "tolerances": dataclasses.asdict(tol),
             "budget": dataclasses.asdict(budget),
             "boundaries": {
-                "rayleigh_m": bounds.rayleigh,
-                "epf_m": bounds.epf,
-                "spf_m": bounds.spf,
-                "sspf_m": bounds.sspf,
-                "opt_linf_m": bounds.opt_linf,
-                "opt_l2_m": bounds.opt_l2,
-                "opt_se_m": bounds.opt_se,
-                "opt_linf_certified": bounds.opt_linf_certified,
-                "opt_l2_certified": bounds.opt_l2_certified,
-                "opt_se_certified": bounds.opt_se_certified,
+                **radius_columns(bounds),
+                **{k: v for k, v in dataclasses.asdict(bounds).items()
+                   if k.endswith("_certified")},
             },
         }
         print(json.dumps(doc, indent=2))
@@ -220,17 +192,11 @@ def cmd_boundaries(args) -> int:
     print(f"configuration: {cfg.carrier_freq / 1e9:g} GHz, {cfg.n_elements} elements, "
           f"spacing {cfg.spacing:g} m")
     print(f"{'boundary':<10} {'meters':<22} certified")
-    rows = [
-        ("rayleigh", bounds.rayleigh, ""),
-        ("epf", bounds.epf, ""),
-        ("spf", bounds.spf, ""),
-        ("sspf", bounds.sspf, ""),
-        ("opt_linf", bounds.opt_linf, "yes" if bounds.opt_linf_certified else "no"),
-        ("opt_l2", bounds.opt_l2, "yes" if bounds.opt_l2_certified else "no"),
-        ("opt_se", bounds.opt_se, "yes" if bounds.opt_se_certified else "no"),
-    ]
-    for name, value, certified in rows:
-        print(f"{name:<10} {value:<22.12g} {certified}")
+    for column, value in radius_columns(bounds).items():
+        name = column.removesuffix("_m")
+        certified = getattr(bounds, f"{name}_certified", None)
+        mark = "" if certified is None else "yes" if certified else "no"
+        print(f"{name:<10} {value:<22.12g} {mark}")
     return EXIT_OK
 
 
@@ -241,10 +207,8 @@ def cmd_curve(args) -> int:
         configs=(cfg,),
         metrics=(args.metric,),
         r_grid=RangeGrid(args.r_start, args.r_stop, args.r_points),
-        tolerances=_tolerances_from(args, file_cfg),
         budget=_budget_from(args, file_cfg),
         angle_policy=_angle_policy_from(args, file_cfg),
-        envelope_policy=_envelope_policy_from(args, file_cfg),
     )
     # curve output needs no transition radii: evaluate the grid directly
     grid = spec.r_grid.values()
@@ -310,19 +274,13 @@ def cmd_se(args) -> int:
 
 def cmd_reproduce(args) -> int:
     spec = preset(args.preset)
-    overrides = {}
-    if args.points_per_decade is not None:
-        overrides["envelope_policy"] = dataclasses.replace(
-            spec.envelope_policy, points_per_decade=args.points_per_decade
-        )
-    if args.coarse_angles is not None:
-        overrides["angle_policy"] = dataclasses.replace(
-            spec.angle_policy, coarse_grid_points=args.coarse_angles
-        )
-    if args.curve_points is not None:
-        overrides["auto_grid_points"] = args.curve_points
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = _overlay(
+        spec, {},
+        envelope_policy=_overlay(spec.envelope_policy, {},
+                                 points_per_decade=args.points_per_decade),
+        angle_policy=_overlay(spec.angle_policy, {}, coarse_grid_points=args.coarse_angles),
+        auto_grid_points=args.curve_points,
+    )
     out_dir = Path(args.out_dir) / args.preset
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_sweep(spec)
@@ -339,12 +297,8 @@ def cmd_reproduce(args) -> int:
     references = REFERENCE_RADII.get(args.preset, {})
     primary = spec.metrics[0]
     for record in result.boundaries:
-        b = record.bounds
-        value, certified = {
-            "linf": (b.opt_linf, b.opt_linf_certified),
-            "l2": (b.opt_l2, b.opt_l2_certified),
-            "se": (b.opt_se, b.opt_se_certified),
-        }[primary]
+        value = getattr(record.bounds, f"opt_{primary}")
+        certified = getattr(record.bounds, f"opt_{primary}_certified")
         line = f"opt_{primary}({record.config_id}) = {value:.6g} m"
         if record.config_id in references:
             ref = references[record.config_id][1]
@@ -375,15 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_boundaries)
 
     p = sub.add_parser("curve", help="worst-case metric curve over a range grid")
-    p.add_argument("--metric", required=True, choices=("linf", "l2", "se"))
+    p.add_argument("--metric", required=True, choices=METRIC_NAMES)
     _add_array_flags(p)
     p.add_argument("--r-start", type=float, required=True, help="grid start in meters")
     p.add_argument("--r-stop", type=float, required=True, help="grid stop in meters")
     p.add_argument("--r-points", type=int, required=True, help="number of grid points")
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")
-    _add_tolerance_flags(p)
     _add_budget_flags(p)
-    _add_solver_flags(p)
+    _add_angle_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_curve)
 

@@ -6,12 +6,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
 
-from .arrays import ArrayConfig, DegenerateGeometryError
+from .arrays import ArrayConfig, DegenerateGeometryError, require_finite, require_whole
 from .boundaries import (
     BoundarySet,
     EnvelopeSearchPolicy,
@@ -73,9 +73,11 @@ class RangeGrid:
     points: int
 
     def __post_init__(self) -> None:
+        require_finite(self)
+        require_whole(self, "points")
         if self.start <= 0:
             raise ValueError("start must be positive")
-        if int(self.points) != self.points or self.points < 1:
+        if self.points < 1:
             raise ValueError("points must be a positive integer")
         if self.points >= 2 and not self.start < self.stop:
             raise ValueError("start must be smaller than stop")
@@ -278,39 +280,25 @@ def write_lines(lines: list[str], out: IO[str]) -> None:
     out.write("\n".join(lines) + "\n")
 
 
-def _curve_dict(c: CurveRecord) -> dict:
-    return {
-        "config_id": c.config_id,
-        "freq_hz": c.freq_hz,
-        "n_elements": c.n_elements,
-        "metric": c.metric,
-        "range_m": c.range_m,
-        "value": c.value,
-        "theta_star_rad": c.theta_star_rad,
-    }
+def radius_columns(bounds: BoundarySet) -> dict[str, float]:
+    """The seven radii as `<radius>_m` columns, in BoundarySet field order."""
+    return {f"{k}_m": v for k, v in asdict(bounds).items() if not k.endswith("_certified")}
 
 
 def _boundary_dict(rec: BoundaryRecord) -> dict:
-    b = rec.bounds
     return {
         "config_id": rec.config_id,
         "freq_hz": rec.freq_hz,
         "n_elements": rec.n_elements,
-        "rayleigh_m": b.rayleigh,
-        "epf_m": b.epf,
-        "spf_m": b.spf,
-        "sspf_m": b.sspf,
-        "opt_linf_m": b.opt_linf,
-        "opt_l2_m": b.opt_l2,
-        "opt_se_m": b.opt_se,
-        "opt_se_certified": b.opt_se_certified,
+        **radius_columns(rec.bounds),
+        "opt_se_certified": rec.bounds.opt_se_certified,
     }
 
 
 def result_to_json(result: SweepResult) -> str:
     doc = {
         "schema": 1,
-        "curves": [_curve_dict(c) for c in result.curves],
+        "curves": [asdict(c) for c in result.curves],
         "boundaries": [_boundary_dict(b) for b in result.boundaries],
         "errors": list(result.errors),
     }

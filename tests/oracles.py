@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+# the search's fixed settings (not code): the full scan must use the same ones
+from nearfield.boundaries import CERTIFICATION_MARGIN, MAX_SCAN_FACTOR
+
 
 def distances(cfg, r, theta):
     nd = cfg.spacing * np.arange(cfg.n_elements)
@@ -209,7 +212,7 @@ def optimal_radius_full_scan(
     if analytic_bound is not None:
         horizon = 2.0 * max(analytic_bound, r_min)
     else:
-        horizon = policy.max_scan_factor * max(heuristic_horizon or r_min, r_min)
+        horizon = MAX_SCAN_FACTOR * max(heuristic_horizon or r_min, r_min)
     n = max(int(math.ceil(math.log10(horizon / r_min) * policy.points_per_decade)) + 1, 16)
     grid = np.geomspace(r_min, horizon, n)
     if batch_metric is None:
@@ -218,7 +221,7 @@ def optimal_radius_full_scan(
         values = np.asarray(batch_metric(grid), dtype=float)
     if analytic_bound is None:
         tail = values[grid >= horizon / 10.0]
-        if np.any(~(tail < delta * policy.certification_margin)):
+        if np.any(~(tail < delta * CERTIFICATION_MARGIN)):
             raise RuntimeError("trailing decade not below the margin")
     violating = np.flatnonzero(~(values < delta))
     if violating.size == 0:

@@ -37,6 +37,7 @@ from nearfield import (
     sspf_distance,
 )
 from nearfield import cli
+from nearfield.boundaries import MAX_SCAN_FACTOR
 from nearfield.link import se_loss_worst_batch
 from nearfield.metrics import e_l2_worst_batch, e_linf_worst_batch
 
@@ -202,7 +203,7 @@ def test_criterion_06_never_again(cfg300, flagship_linf, flagship_l2, small_linf
     cfg = ArrayConfig(carrier_freq=10e9, n_elements=5)
     policy = EnvelopeSearchPolicy()
     r_min = resolve_r_min(cfg, policy)
-    horizon = policy.max_scan_factor * max(rayleigh_distance(cfg), sspf_distance(cfg, DELTA_INF))
+    horizon = MAX_SCAN_FACTOR * max(rayleigh_distance(cfg), sspf_distance(cfg, DELTA_INF))
     se_result = optimal_radius(
         lambda r: se_loss_worst(cfg, r, DEFAULT_BUDGET).value,
         DELTA_SE,

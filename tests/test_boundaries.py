@@ -47,10 +47,6 @@ def test_envelope_policy_validation():
     with pytest.raises(ValueError):
         EnvelopeSearchPolicy(bisection_tol=0.0)
     with pytest.raises(ValueError):
-        EnvelopeSearchPolicy(certification_margin=0.0)
-    with pytest.raises(ValueError):
-        EnvelopeSearchPolicy(max_scan_factor=0.5)
-    with pytest.raises(ValueError):
         EnvelopeSearchPolicy(r_min=-1.0)
 
 

@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from nearfield import cli
+from nearfield import AngleSearchPolicy, EnvelopeSearchPolicy, Tolerances, cli
 
 FAST = ["--points-per-decade", "200", "--coarse-angles", "181"]
+RADII = ("rayleigh", "epf", "spf", "sspf", "opt_linf", "opt_l2", "opt_se")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -19,9 +24,9 @@ def test_boundaries_table(capsys):
         capsys, "boundaries", "--freq-ghz", "10", "--elements", "5", *FAST
     )
     assert code == 0 and err == ""
-    for name in ("rayleigh", "epf", "spf", "sspf", "opt_linf", "opt_l2", "opt_se"):
-        assert name in out
-    assert "yes" in out and "no" in out
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [row[0] for row in rows] == list(RADII)
+    assert [row[2:] for row in rows] == [[]] * 4 + [["yes"], ["yes"], ["no"]]
 
 
 def test_boundaries_json_round_trip(capsys):
@@ -30,9 +35,13 @@ def test_boundaries_json_round_trip(capsys):
     )
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["schema", "config", "tolerances", "budget", "boundaries"]
     assert doc["schema"] == 1
     assert doc["config"]["n_elements"] == 5
     bounds = doc["boundaries"]
+    assert list(bounds) == [f"{name}_m" for name in RADII] + [
+        f"opt_{m}_certified" for m in ("linf", "l2", "se")
+    ]
     assert bounds["rayleigh_m"] == pytest.approx(0.24, rel=1e-12)
     assert bounds["epf_m"] <= bounds["spf_m"] <= bounds["sspf_m"]
     assert bounds["opt_linf_certified"] is True
@@ -67,7 +76,7 @@ def test_boundaries_single_element(capsys):
 def test_curve_stdout_two_points(capsys):
     code, out, _ = run_cli(
         capsys, "curve", "--metric", "linf", "--freq-ghz", "10", "--elements", "5",
-        "--r-start", "1.0", "--r-stop", "10.0", "--r-points", "2", *FAST,
+        "--r-start", "1.0", "--r-stop", "10.0", "--r-points", "2", "--coarse-angles", "181",
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -152,15 +161,58 @@ def test_config_file_precedence(capsys, tmp_path):
     assert flag_radius == default_radius  # flag overrides the file
 
 
+# (builder, config section, settings class, flag per field where one exists)
+SETTINGS = (
+    (cli._tolerances_from, "tolerances", Tolerances,
+     {"delta_inf": "--delta-inf", "delta_2": "--delta-2", "delta_se": "--delta-se"}),
+    (cli._angle_policy_from, "angle_policy", AngleSearchPolicy,
+     {"coarse_grid_points": "--coarse-angles"}),
+    (cli._envelope_policy_from, "envelope_policy", EnvelopeSearchPolicy,
+     {"points_per_decade": "--points-per-decade"}),
+)
+OVERLAY_CASES = [
+    (build, section, cls, f.name, flags.get(f.name))
+    for build, section, cls, flags in SETTINGS
+    for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize(
+    "build, section, cls, name, flag", OVERLAY_CASES,
+    ids=[f"{section}.{name}" for _, section, _, name, _ in OVERLAY_CASES],
+)
+def test_config_file_and_flag_reach_every_setting(tmp_path, build, section, cls, name, flag):
+    default = getattr(cls(), name)
+    file_value = 2 * (0.25 if default is None else default)
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps({section: {name: file_value}}))
+    argv = ["boundaries", "--freq-ghz", "10", "--elements", "5", "--config", str(path)]
+
+    def built(*extra):
+        args = cli.build_parser().parse_args(argv + list(extra))
+        return build(args, cli._load_config_file(args.config))
+
+    assert built() == dataclasses.replace(cls(), **{name: file_value})
+    if flag is not None:
+        flag_value = 3 * default
+        assert built(flag, repr(flag_value)) == dataclasses.replace(cls(), **{name: flag_value})
+
+
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg_file = tmp_path / "bad.json"
-    cfg_file.write_text(json.dumps({"tolerances": {"delta_unknown": 1.0}}))
-    code, _, err = run_cli(
-        capsys, "boundaries", "--freq-ghz", "10", "--elements", "5",
-        "--config", str(cfg_file),
-    )
-    assert code == 2
-    assert "delta_unknown" in err
+    # the SE scan horizon and its trailing-decade margin are fixed, not settings
+    for section, key in (
+        ("tolerances", "delta_unknown"),
+        ("envelope_policy", "certification_margin"),
+        ("envelope_policy", "max_scan_factor"),
+    ):
+        cfg_file.write_text(json.dumps({section: {key: 1.0}}))
+        code, _, err = run_cli(
+            capsys, "boundaries", "--freq-ghz", "10", "--elements", "5",
+            "--config", str(cfg_file),
+        )
+        assert code == 2
+        assert f"unknown key {section}.{key}" in err
     cfg_file.write_text("{not json")
     code, _, err = run_cli(
         capsys, "boundaries", "--freq-ghz", "10", "--elements", "5",
@@ -190,6 +242,11 @@ def test_invalid_values_exit_2(capsys, tmp_path):
         "--r-start", "5", "--r-stop", "1", "--r-points", "4",
     )
     assert code == 2
+    code, _, err = run_cli(
+        capsys, "curve", "--metric", "linf", "--freq-ghz", "1", "--elements", "2",
+        "--r-start", "1", "--r-stop", "inf", "--r-points", "3",
+    )
+    assert code == 2 and "stop" in err
     code, _, err = run_cli(capsys, "se", "--freq-ghz", "nan", "--elements", "5", "--range-m", "1")
     assert code == 2 and "carrier_freq" in err
 
@@ -200,6 +257,14 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "bogus-preset", "--out-dir", "/tmp/x"])
+    assert exc.value.code == 2
+    # curve evaluates metrics on a given grid: it takes no tolerance or
+    # envelope-search flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main([
+            "curve", "--metric", "linf", "--freq-ghz", "1", "--elements", "2",
+            "--r-start", "1", "--r-stop", "2", "--r-points", "2", "--delta-inf", "1e-3",
+        ])
     assert exc.value.code == 2
 
 
@@ -233,3 +298,12 @@ def test_reproduce_bundle(capsys, tmp_path):
     assert "not certified" in out
     body = (bundle / "boundaries.csv").read_text().splitlines()
     assert len(body) == 4
+
+
+def test_readme_lists_every_config_key():
+    # README lines of the form "- `section`: `key`, `key`, ..."
+    listed = {
+        m.group(1): tuple(re.findall(r"`(\w+)`", m.group(2)))
+        for m in re.finditer(r"^- `(\w+)`: ((?:`\w+`(?:, )?)+)$", README.read_text(), re.M)
+    }
+    assert listed == cli._CONFIG_SECTIONS

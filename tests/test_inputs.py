@@ -14,6 +14,7 @@ from nearfield import (
     PolarPosition,
     Tolerances,
 )
+from nearfield.sweep import RangeGrid
 
 FIELDS = [
     (ArrayConfig, dict(carrier_freq=1e9, n_elements=4), name)
@@ -29,10 +30,9 @@ FIELDS = [
     (AngleSearchPolicy, {}, name)
     for name in ("coarse_grid_points", "refine_tolerance", "refine_max_iter")
 ] + [
-    (EnvelopeSearchPolicy, {}, name)
-    for name in (
-        "r_min", "points_per_decade", "bisection_tol", "certification_margin", "max_scan_factor"
-    )
+    (EnvelopeSearchPolicy, {}, name) for name in ("r_min", "points_per_decade", "bisection_tol")
+] + [
+    (RangeGrid, dict(start=1.0, stop=2.0, points=3), name) for name in ("start", "stop", "points")
 ]
 
 
@@ -59,6 +59,7 @@ COUNTS = [
     (AngleSearchPolicy, {}, "coarse_grid_points", 3.5),
     (AngleSearchPolicy, {}, "refine_max_iter", 2.5),
     (EnvelopeSearchPolicy, {}, "points_per_decade", 100.5),
+    (RangeGrid, dict(start=1.0, stop=2.0), "points", 2.5),
 ]
 
 
