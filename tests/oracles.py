@@ -204,22 +204,27 @@ def nmse_monte_carlo(cfg, pos, budget, draws, seed):
 
 
 def optimal_radius_full_scan(
-    metric, batch_metric, delta, policy, r_min, analytic_bound=None, heuristic_horizon=None
+    metric, batch_metric, delta, policy, r_min, analytic_bound=None, heuristic_horizon=None,
+    proven_bound=None,
 ):
     """Envelope search by brute force: evaluate every range of the log grid
     from r_min to the horizon, take the last violation (NaN counts), then
-    bisect that cell geometrically with the scalar metric."""
+    bisect that cell geometrically with the scalar metric.  A proven bound
+    on the heuristic grid replaces its trailing-decade check and extends the
+    grid when it lies beyond the horizon; every range is still evaluated."""
     if analytic_bound is not None:
         horizon = 2.0 * max(analytic_bound, r_min)
     else:
         horizon = MAX_SCAN_FACTOR * max(heuristic_horizon or r_min, r_min)
+        if proven_bound is not None:
+            horizon = max(horizon, proven_bound)
     n = max(int(math.ceil(math.log10(horizon / r_min) * policy.points_per_decade)) + 1, 16)
     grid = np.geomspace(r_min, horizon, n)
     if batch_metric is None:
         values = np.array([metric(float(r)) for r in grid])
     else:
         values = np.asarray(batch_metric(grid), dtype=float)
-    if analytic_bound is None:
+    if analytic_bound is None and proven_bound is None:
         tail = values[grid >= horizon / 10.0]
         if np.any(~(tail < delta * CERTIFICATION_MARGIN)):
             raise RuntimeError("trailing decade not below the margin")

@@ -12,6 +12,7 @@ from nearfield import (
     CubicCoefficients,
     EnvelopeSearchPolicy,
     HorizonExceededError,
+    LinkBudget,
     Tolerances,
     boundary_set,
     epf_distance,
@@ -20,11 +21,13 @@ from nearfield import (
     phase_amp_envelope,
     rayleigh_distance,
     resolve_r_min,
+    se_gain_bound,
     small_angle_envelope,
     spf_distance,
     sspf_distance,
 )
-from nearfield.boundaries import _SCAN_CHUNK, _log_grid
+from nearfield import boundaries
+from nearfield.boundaries import _SCAN_CHUNK, MAX_SCAN_FACTOR, _log_grid
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst_batch
 from nearfield.metrics import e_l2_worst_batch, e_linf_worst_batch
 
@@ -161,6 +164,82 @@ def test_l2_certification_bound_properties(cfg300):
     just_below = bound * 0.99
     assert (just_below + cfg300.aperture) * small_angle_envelope(cfg300, just_below) > delta
     assert l2_certification_bound(cfg300, 1e-4) > bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    freq_ghz=st.floats(0.5, 300.0),
+    n_elements=st.integers(2, 64),
+    data_snr_db=st.floats(0.0, 90.0),
+    pilot_snr_db=st.floats(0.0, 60.0),
+    pilot_len=st.integers(1, 128),
+    delta_se=st.floats(0.05, 3.0),
+    stretch=st.floats(1.0, 10.0),
+)
+def test_se_loss_below_delta_beyond_the_gain_bound(
+    freq_ghz, n_elements, data_snr_db, pilot_snr_db, pilot_len, delta_se, stretch
+):
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    budget = LinkBudget(
+        pilot_snr=10 ** (pilot_snr_db / 10), data_snr=10 ** (data_snr_db / 10), pilot_len=pilot_len
+    )
+    r_g = se_gain_bound(cfg, delta_se, budget)
+    assert r_g > cfg.aperture
+    value, _ = oracles.se_loss_dense_max(cfg, stretch * r_g, budget, n_angles=20_000)
+    assert value < delta_se
+
+
+def test_se_gain_bound_closed_form(cfg300):
+    # the flagship's default budget: about 5% above opt_se = 0.969 m
+    assert se_gain_bound(cfg300, 0.5, DEFAULT_BUDGET) == pytest.approx(1.02066, abs=1e-5)
+    # with no data power the loss is zero wherever the geometry is defined
+    silent = LinkBudget(pilot_snr=1e4, data_snr=0.0, pilot_len=64)
+    assert se_gain_bound(cfg300, 0.5, silent) == cfg300.aperture
+    # r_G - D grows like sqrt(rho_d)
+    loud = LinkBudget(pilot_snr=1e4, data_snr=4e6, pilot_len=64)
+    assert se_gain_bound(cfg300, 0.5, loud) - cfg300.aperture == pytest.approx(
+        2 * (se_gain_bound(cfg300, 0.5, DEFAULT_BUDGET) - cfg300.aperture), rel=1e-12
+    )
+    with pytest.raises(ValueError):
+        se_gain_bound(cfg300, 0.0, DEFAULT_BUDGET)
+
+
+def test_high_snr_se_radius_found_below_the_gain_bound():
+    """At 1 GHz / N=2 and 100 dB data SNR the pilot-noise floor holds the SE
+    loss above delta_se well past the heuristic horizon (1,762 m), where the
+    trailing-decade check used to fail the solve.  r_G (5,245 m) ends the
+    grid instead, and the loss stays below delta_se from the radius to it."""
+    cfg = ArrayConfig(carrier_freq=1e9, n_elements=2)
+    budget = LinkBudget(pilot_snr=1e4, data_snr=1e10, pilot_len=64)
+    tol = Tolerances()
+    bounds = boundary_set(cfg, tol, budget, FAST_ANGLES, FAST_ENVELOPE)
+    r_g = se_gain_bound(cfg, tol.delta_se, budget)
+    horizon = MAX_SCAN_FACTOR * max(bounds.rayleigh, bounds.sspf)
+    assert horizon < bounds.opt_se < r_g
+    assert not bounds.opt_se_certified
+    tail = np.geomspace(bounds.opt_se, r_g, 2000)
+    values, _ = se_loss_worst_batch(cfg, tail, budget, FAST_ANGLES)
+    assert np.all(values < tol.delta_se)
+    for r in tail[::400]:
+        assert oracles.se_loss_dense_max(cfg, r, budget, n_angles=20_000)[0] < tol.delta_se
+
+
+def test_flagship_se_scan_stops_at_the_gain_bound(cfg300, monkeypatch):
+    """The flagship's SE radius (0.969 m) lies far below its heuristic horizon
+    (5,597 m).  r_G = 1.021 m confines the scan to the chunks around it; the
+    whole heuristic grid cost 7,685 ranges."""
+    seen = []
+    real = boundaries.se_loss_worst_batch
+
+    def counting(cfg, rs, *args):
+        seen.append(len(rs))
+        return real(cfg, rs, *args)
+
+    monkeypatch.setattr(boundaries, "se_loss_worst_batch", counting)
+    bounds = boundary_set(cfg300)
+    assert 0 < sum(seen) <= 2 * _SCAN_CHUNK
+    assert bounds.opt_se == pytest.approx(0.969368176382184, rel=1e-9)
+    assert not bounds.opt_se_certified
 
 
 def test_optimal_radius_trivial_tolerance(cfg10_5):
@@ -351,6 +430,51 @@ def test_trailing_margin_failure_wins_over_a_lower_violation(lower):
     )
 
 
+@pytest.mark.parametrize("last", [300, 2 * _SCAN_CHUNK + 8])
+def test_last_crossing_skips_chunks_above_the_proven_bound(last):
+    """A proven bound of 30 m (about index 597) starts the heuristic scan in
+    the chunk from 512: the 41-range top chunk is never evaluated, and the
+    trailing-decade check, which the 0.4 values above the bound would fail,
+    is dropped."""
+    bound = 30.0
+    assert (np.searchsorted(ENGINE_GRID, bound, side="right") - 1) // _SCAN_CHUNK == 2
+    metric, step, seen = _step_metric(float(ENGINE_GRID[last]))
+
+    def batch(rs):
+        return step(rs) + 0.4 * (rs > bound)
+
+    proven = {"heuristic_horizon": 1.0, "proven_bound": bound}
+    res = _solve(metric, batch, **proven)
+    assert not res.certified
+    first_scanned = last // _SCAN_CHUNK * _SCAN_CHUNK
+    assert np.array_equal(np.sort(seen), ENGINE_GRID[first_scanned : 3 * _SCAN_CHUNK])
+    assert ENGINE_GRID[last] < res.radius <= ENGINE_GRID[last + 1]
+    assert res.radius == oracles.optimal_radius_full_scan(
+        metric, batch, 0.5, ENGINE_POLICY, 1.0, **proven
+    )
+    with pytest.raises(HorizonExceededError, match="^trailing decade"):
+        _solve(metric, batch, heuristic_horizon=1.0)
+
+
+def test_proven_bound_beyond_the_horizon_ends_the_grid():
+    """A proven bound of 500 m lies beyond the 100 m heuristic horizon: the
+    grid runs to the bound, so a last violation at 400 m is found."""
+    grid = _log_grid(1.0, 500.0, ENGINE_POLICY.points_per_decade)
+    last = int(np.flatnonzero(grid <= 400.0)[-1])
+    metric, batch, seen = _step_metric(float(grid[last]))
+    proven = {"heuristic_horizon": 1.0, "proven_bound": 500.0}
+    res = _solve(metric, batch, **proven)
+    assert max(seen) == 500.0 and len(seen) == len(grid) % _SCAN_CHUNK
+    assert grid[last] < res.radius <= grid[last + 1]
+    assert res.radius == oracles.optimal_radius_full_scan(
+        metric, batch, 0.5, ENGINE_POLICY, 1.0, **proven
+    )
+    # a violation at the bound itself still fails the scan
+    metric, batch, _ = _step_metric(500.0)
+    with pytest.raises(HorizonExceededError, match="scan horizon 500 m$"):
+        _solve(metric, batch, **proven)
+
+
 def test_last_crossing_maps_a_scalar_metric():
     calls = []
     cross = 30.0  # index about 597, in the chunk from 512
@@ -388,6 +512,9 @@ def test_optimal_radius_equals_full_scan(freq_ghz, n_elements):
          {"analytic_bound": l2_certification_bound(cfg, tol.delta_2)}),
         (lambda rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET, EQUIV_ANGLES)[0], tol.delta_se,
          {"heuristic_horizon": max(rayleigh_distance(cfg), sspf_distance(cfg, tol.delta_inf))}),
+        (lambda rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET, EQUIV_ANGLES)[0], tol.delta_se,
+         {"heuristic_horizon": max(rayleigh_distance(cfg), sspf_distance(cfg, tol.delta_inf)),
+          "proven_bound": se_gain_bound(cfg, tol.delta_se, DEFAULT_BUDGET)}),
     ]
     for batch, delta, bound in cases:
         def metric(r, batch=batch):

@@ -247,6 +247,11 @@ def test_invalid_values_exit_2(capsys, tmp_path):
         "--r-start", "1", "--r-stop", "inf", "--r-points", "3",
     )
     assert code == 2 and "stop" in err
+    code, _, err = run_cli(
+        capsys, "curve", "--metric", "linf", "--freq-ghz", "1", "--elements", "2",
+        "--r-start", "1", "--r-stop", "-5", "--r-points", "1",
+    )
+    assert code == 2 and "stop" in err
     code, _, err = run_cli(capsys, "se", "--freq-ghz", "nan", "--elements", "5", "--range-m", "1")
     assert code == 2 and "carrier_freq" in err
 
@@ -269,12 +274,21 @@ def test_usage_errors_exit_2():
 
 
 def test_solver_failure_exits_3(capsys):
+    # a delta_se so small that the SE gain bound r_G overflows leaves the
+    # search no finite horizon
     code, _, err = run_cli(
+        capsys, "boundaries", "--freq-ghz", "10", "--elements", "2",
+        "--delta-se", "1e-320", "--points-per-decade", "60",
+    )
+    assert code == 3
+    assert "solver error" in err and "not a finite horizon" in err
+    # delta_se = 1e-12 used to fail the heuristic trailing-decade check;
+    # r_G (4.06e6 m) now bounds the scan instead
+    code, out, _ = run_cli(
         capsys, "boundaries", "--freq-ghz", "10", "--elements", "2",
         "--delta-se", "1e-12", "--points-per-decade", "60",
     )
-    assert code == 3
-    assert "solver error" in err
+    assert code == 0 and "opt_se" in out
     # degenerate geometry: at 10 GHz, half-wave spacing, element 1 sits on
     # the axis at 0.015 m
     code, _, err = run_cli(

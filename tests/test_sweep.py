@@ -41,6 +41,10 @@ def test_range_grid_validation():
         RangeGrid(start=2.0, stop=1.0, points=5)
     with pytest.raises(ValueError):
         RangeGrid(start=1.0, stop=2.0, points=0)
+    # a single point still needs a stop at or above its start
+    for stop in (-5.0, 0.0, 2.0):
+        with pytest.raises(ValueError, match="stop"):
+            RangeGrid(start=3.0, stop=stop, points=1)
     single = RangeGrid(start=3.0, stop=3.0, points=1)
     np.testing.assert_array_equal(single.values(), [3.0])
     grid = RangeGrid(start=1.0, stop=100.0, points=3).values()
