@@ -1,10 +1,13 @@
 """Write a BENCH_<n>.json file: every benchmark workload, untraced and traced.
 
-    python3 scripts/bench.py --out BENCH_6.json [--seed 1] [--seconds 10]
+    python3 scripts/bench.py --out BENCH_7.json [--seed 1] [--seconds 10]
 
 Run from the repository root.  Each workload (solve, evaluate, sweep) runs
-once with tracing off, which gives the end-to-end metrics, and once with
-tracing on, which gives the per-layer metrics.  Every run gets a fresh
+once with tracing off for `--seconds`, which gives the end-to-end metrics,
+and once with tracing on for exactly one round, which gives the per-layer
+metrics.  One round does a fixed set of requests for a seed, so the traced
+counts (such as `boundaries.linf.scan_ranges`) repeat exactly and compare
+across commits, however fast the solver is.  Every run gets a fresh
 interpreter, as `perfbench/run.py` does, so its peak RSS and import cost are
 its own.  The file holds, per run, the `env` object that `perfbench/run.py`
 prints and the run's result object: correct/attempted/failed, the metrics,
@@ -77,9 +80,10 @@ def main(argv=None) -> int:
     runs = []
     for workload in WORKLOADS:
         for trace in ("0", "1"):
+            seconds = args.seconds if trace == "0" else 0.0
             child = subprocess.run(
                 [sys.executable, __file__, "--one", workload, trace,
-                 "--seed", str(args.seed), "--seconds", str(args.seconds)],
+                 "--seed", str(args.seed), "--seconds", str(seconds)],
                 cwd=ROOT, capture_output=True, text=True, check=False,
             )
             if child.returncode != 0:

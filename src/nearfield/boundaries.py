@@ -37,6 +37,12 @@ class HorizonExceededError(RuntimeError):
     """Tolerance violations persist at the end of the scan horizon."""
 
 
+def _require_tolerance(name: str, value: float) -> None:
+    """Reject a tolerance that is NaN, infinite or not positive, naming it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Application error budgets: per-meter, dimensionless, and bits/s/Hz."""
@@ -46,10 +52,8 @@ class Tolerances:
     delta_se: float = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(self)
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)}")
+            _require_tolerance(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,7 @@ class CubicCoefficients:
 
     @classmethod
     def from_config(cls, cfg: ArrayConfig, delta_inf: float) -> "CubicCoefficients":
-        if delta_inf <= 0:
-            raise ValueError("delta_inf must be positive")
+        _require_tolerance("delta_inf", delta_inf)
         if cfg.n_elements < 2:
             raise ValueError("the cubic needs a nonzero aperture (n_elements >= 2)")
         d_sq = cfg.aperture * cfg.aperture
@@ -107,14 +110,18 @@ class EnvelopeSearchPolicy:
 
 @dataclass(frozen=True)
 class OptimalRadius:
-    """Result of the envelope search: the radius and whether an analytic bound
-    guarantees no violation beyond the scanned horizon.
+    """Result of the envelope search: the radius and whether a bound
+    guarantees no violation beyond it.
 
-    A search on the heuristic grid reads certified=False even when a proven
-    bound (se_gain_bound for SE) bounds its scan: its grid still ends at the
-    heuristic horizon, and the flag changes together with the grid, since the
-    boundary CSV's opt_se_certified column is pinned by the fig3-se reference
-    bundle under perfbench/reference/.
+    A search on the analytic grid reads certified=True.  In boundary_set a
+    proven bound (linf_mismatch_bound, l2_mismatch_bound) rules out every
+    violation above the chunks it scans; the grid's end at twice the
+    analytic bound only fixes where the grid points sit.  A search on the
+    heuristic grid reads certified=False even when a proven bound
+    (se_gain_bound for SE) bounds its scan: its grid still ends at the
+    heuristic horizon, and the flag changes together with the grid, since
+    the boundary CSV's opt_se_certified column is pinned by the fig3-se
+    reference bundle under perfbench/reference/.
     """
 
     radius: float
@@ -125,8 +132,10 @@ class OptimalRadius:
 class BoundarySet:
     """All transition radii for one configuration, in meters.
 
-    opt_se_certified reads False although se_gain_bound proves the SE scan
-    complete; see OptimalRadius.
+    opt_linf_certified and opt_l2_certified read True: linf_mismatch_bound
+    and l2_mismatch_bound prove those scans complete.  opt_se_certified
+    reads False although se_gain_bound proves the SE scan complete; see
+    OptimalRadius.
     """
 
     rayleigh: float
@@ -155,8 +164,7 @@ def rayleigh_distance(cfg: ArrayConfig) -> float:
 
 def sspf_distance(cfg: ArrayConfig, delta_inf: float) -> float:
     """Strict small-phase radius sqrt((k*D^2 + D) / (2*delta))."""
-    if delta_inf <= 0:
-        raise ValueError("delta_inf must be positive")
+    _require_tolerance("delta_inf", delta_inf)
     d_ap = cfg.aperture
     return math.sqrt((cfg.wavenumber * d_ap * d_ap + d_ap) / (2.0 * delta_inf))
 
@@ -204,8 +212,7 @@ def epf_distance(
     """
     if cfg.n_elements < 2:
         raise ValueError("epf_distance needs a nonzero aperture (n_elements >= 2)")
-    if delta_inf <= 0:
-        raise ValueError("delta_inf must be positive")
+    _require_tolerance("delta_inf", delta_inf)
     policy = policy or EnvelopeSearchPolicy()
     r_min = resolve_r_min(cfg, policy)
     spf = spf_distance(cfg, delta_inf)
@@ -228,8 +235,7 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
     The normalized total mismatch never exceeds (r + D) times the per-element
     worst case, so no violation of delta_2 can occur beyond this radius.
     """
-    if delta_2 <= 0:
-        raise ValueError("delta_2 must be positive")
+    _require_tolerance("delta_2", delta_2)
     d_ap = cfg.aperture
     if d_ap == 0.0:
         return 0.0
@@ -254,6 +260,45 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
     return hi
 
 
+def linf_mismatch_bound(cfg: ArrayConfig, delta_inf: float) -> float:
+    """Radius r_inf = D + sqrt((D + k*D^2/2) / delta_inf) beyond which the
+    per-element mismatch stays below delta_inf at every look angle.
+
+    For r > D, element n at offset x = n*d <= D has |R_n - r| <= x and
+    R_n >= r - D.  Its phase gap k*(R_n - r + x*cos) equals
+    k*x^2*sin^2 / (R_n + r - x*cos), whose denominator is at least 2*(r - D),
+    so |dphi| <= k*x^2 / (2*(r - D)).  The kernel's split
+    |e_n|^2 = (1/R_n - 1/r)^2 + 4*sin^2(dphi/2) / (R_n*r), with
+    R_n*r >= (r - D)^2 and |sin u| <= |u|, gives
+    |e_n| <= (x + k*x^2/2) / (r - D)^2 <= (D + k*D^2/2) / (r - D)^2,
+    which falls below delta_inf for r > r_inf.  Unlike small_angle_envelope
+    it holds for every r > D.
+    """
+    _require_tolerance("delta_inf", delta_inf)
+    d_ap = cfg.aperture
+    return d_ap + math.sqrt((d_ap + 0.5 * cfg.wavenumber * d_ap * d_ap) / delta_inf)
+
+
+def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
+    """Radius r_2 = D + (A + sqrt(A^2 + 8*A*D*delta_2)) / (2*delta_2) beyond
+    which the normalized total mismatch stays below delta_2 at every look
+    angle, with A = rms_n(x_n) + (k/2)*rms_n(x_n^2) = c_2*D + c_4*k*D^2/2 and
+    c_p = sqrt(mean_n (n/(N-1))^p).
+
+    The per-element bound |e_n| <= (x_n + k*x_n^2/2) / (r - D)^2 of
+    linf_mismatch_bound and Minkowski's inequality give
+    sqrt(sum_n |e_n|^2) <= sqrt(N)*A / (r - D)^2, and R_n <= r + D gives
+    sum_n 1/R_n^2 >= N / (r + D)^2.  Hence e_l2 <= (r + D)*A / (r - D)^2,
+    which decreases on r > D and equals delta_2 at r_2, the positive root of
+    delta_2*u^2 - A*u - 2*A*D = 0 in u = r - D.
+    """
+    _require_tolerance("delta_2", delta_2)
+    x = cfg.element_offsets()
+    a = math.sqrt(np.mean(x * x)) + 0.5 * cfg.wavenumber * math.sqrt(np.mean(x**4))
+    d_ap = cfg.aperture
+    return d_ap + (a + math.sqrt(a * a + 8.0 * a * d_ap * delta_2)) / (2.0 * delta_2)
+
+
 def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> float:
     """Radius r_G = D + sqrt(rho_d * N * (lambda/(4*pi))^2 / (2^delta_se - 1))
     beyond which the SE loss stays below delta_se at every look angle.
@@ -266,8 +311,7 @@ def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> floa
     mismatch.  No property of eta enters: the bound is tight where the
     pilot-noise floor, not wavefront mismatch, sets opt_se.
     """
-    if delta_se <= 0:
-        raise ValueError("delta_se must be positive")
+    _require_tolerance("delta_se", delta_se)
     amp = cfg.wavelength / (4.0 * math.pi)
     return cfg.aperture + amp * math.sqrt(
         budget.data_snr * cfg.n_elements / math.expm1(delta_se * math.log(2.0))
@@ -354,19 +398,18 @@ def optimal_radius(
     metric maps a range in meters to a worst-case (angle-maximized) value and
     drives the bisection; batch_metric, when given, must be its vectorized
     twin and is used for the grid scan, which runs from the horizon down and
-    stops at the last violation.  With `analytic_bound`, violations provably
-    cannot occur beyond it; the scan still extends to twice the bound to
-    absorb the slack of the Taylor-based majorants, and the result is
-    certified.  Without it, the grid runs to MAX_SCAN_FACTOR *
+    stops at the last violation.  With `analytic_bound` (a Taylor-based
+    closed form) the grid runs to twice the bound and the result is
+    certified; with a proven bound beside it, that horizon only fixes where
+    the grid points sit.  Without it, the grid runs to MAX_SCAN_FACTOR *
     heuristic_horizon, its trailing decade must sit below delta *
     CERTIFICATION_MARGIN, and the result is not certified.  `proven_bound`,
     a range beyond which the metric provably stays below delta, replaces
-    that trailing check: the scan skips every chunk above the bound, and a
-    heuristic grid ends at the bound instead when the bound lies beyond it.
+    that trailing check: the scan skips every chunk above the bound, and the
+    grid ends at the bound instead when the bound lies beyond its horizon.
     Returns r_min when no scanned point violates the tolerance.
     """
-    if delta <= 0:
-        raise ValueError("tolerance must be positive")
+    _require_tolerance("delta", delta)
     policy = policy or EnvelopeSearchPolicy()
     trailing = None
     if analytic_bound is not None:
@@ -376,16 +419,16 @@ def optimal_radius(
         base = heuristic_horizon if heuristic_horizon else r_min
         horizon = MAX_SCAN_FACTOR * max(base, r_min)
         certified = False
-        if proven_bound is not None:
-            if not math.isfinite(proven_bound):
-                raise HorizonExceededError(f"proven bound {proven_bound} m is not a finite horizon")
-            horizon = max(horizon, proven_bound)
-        else:
-            trailing = (
-                horizon / 10.0,
-                delta * CERTIFICATION_MARGIN,
-                f"trailing decade of the heuristic scan is not safely below {delta}",
-            )
+    if proven_bound is not None:
+        if not math.isfinite(proven_bound):
+            raise HorizonExceededError(f"proven bound {proven_bound} m is not a finite horizon")
+        horizon = max(horizon, proven_bound)
+    elif analytic_bound is None:
+        trailing = (
+            horizon / 10.0,
+            delta * CERTIFICATION_MARGIN,
+            f"trailing decade of the heuristic scan is not safely below {delta}",
+        )
     radius = _last_crossing(
         metric,
         batch_metric,
@@ -406,7 +449,15 @@ def boundary_set(
     angle_policy: AngleSearchPolicy | None = None,
     envelope_policy: EnvelopeSearchPolicy | None = None,
 ) -> BoundarySet:
-    """All seven transition radii for one configuration."""
+    """All seven transition radii for one configuration.
+
+    The opt_linf and opt_l2 scans skip every grid chunk above
+    linf_mismatch_bound and l2_mismatch_bound, and the SE scan every chunk
+    above se_gain_bound.  The grids still end at twice spf and twice
+    l2_certification_bound (at the heuristic horizon for SE), or at the
+    proven bound where that lies beyond; that end only fixes where the grid
+    points sit.
+    """
     tol = tolerances or Tolerances()
     budget = budget or DEFAULT_BUDGET
     angle_policy = angle_policy or AngleSearchPolicy()
@@ -436,6 +487,7 @@ def boundary_set(
         envelope_policy,
         r_min=r_min,
         analytic_bound=spf,
+        proven_bound=linf_mismatch_bound(cfg, tol.delta_inf),
         batch_metric=lambda rs: e_linf_worst_batch(cfg, rs, angle_policy)[0],
     )
     opt_l2 = optimal_radius(
@@ -444,6 +496,7 @@ def boundary_set(
         envelope_policy,
         r_min=r_min,
         analytic_bound=l2_certification_bound(cfg, tol.delta_2),
+        proven_bound=l2_mismatch_bound(cfg, tol.delta_2),
         batch_metric=lambda rs: e_l2_worst_batch(cfg, rs, angle_policy)[0],
     )
     opt_se = optimal_radius(

@@ -210,14 +210,15 @@ def optimal_radius_full_scan(
     """Envelope search by brute force: evaluate every range of the log grid
     from r_min to the horizon, take the last violation (NaN counts), then
     bisect that cell geometrically with the scalar metric.  A proven bound
-    on the heuristic grid replaces its trailing-decade check and extends the
-    grid when it lies beyond the horizon; every range is still evaluated."""
+    replaces the heuristic grid's trailing-decade check and, on either grid,
+    extends the grid when it lies beyond the horizon; every range is still
+    evaluated."""
     if analytic_bound is not None:
         horizon = 2.0 * max(analytic_bound, r_min)
     else:
         horizon = MAX_SCAN_FACTOR * max(heuristic_horizon or r_min, r_min)
-        if proven_bound is not None:
-            horizon = max(horizon, proven_bound)
+    if proven_bound is not None:
+        horizon = max(horizon, proven_bound)
     n = max(int(math.ceil(math.log10(horizon / r_min) * policy.points_per_decade)) + 1, 16)
     grid = np.geomspace(r_min, horizon, n)
     if batch_metric is None:

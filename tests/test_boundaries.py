@@ -17,6 +17,8 @@ from nearfield import (
     boundary_set,
     epf_distance,
     l2_certification_bound,
+    l2_mismatch_bound,
+    linf_mismatch_bound,
     optimal_radius,
     phase_amp_envelope,
     rayleigh_distance,
@@ -242,6 +244,98 @@ def test_flagship_se_scan_stops_at_the_gain_bound(cfg300, monkeypatch):
     assert not bounds.opt_se_certified
 
 
+def test_mismatch_bounds_closed_form(cfg300):
+    d_ap, k = cfg300.aperture, cfg300.wavenumber
+    # the flagship: a little above opt_linf = 55.83 m and opt_l2 = 1,410.6 m
+    assert linf_mismatch_bound(cfg300, 1e-3) == pytest.approx(56.145182026084, rel=1e-12)
+    assert l2_mismatch_bound(cfg300, 1e-3) == pytest.approx(1428.9545056468, rel=1e-12)
+    # r_inf - D halves when the tolerance quadruples
+    assert linf_mismatch_bound(cfg300, 4e-3) - d_ap == pytest.approx(
+        (linf_mismatch_bound(cfg300, 1e-3) - d_ap) / 2, rel=1e-12
+    )
+    # A = c_2*D + c_4*k*D^2/2 with c_p = sqrt(mean_n (n/(N-1))^p); r_2 solves
+    # (r + D)*A = delta*(r - D)^2
+    frac = np.arange(64) / 63
+    a = math.sqrt(np.mean(frac**2)) * d_ap + math.sqrt(np.mean(frac**4)) * k * d_ap**2 / 2
+    r_2 = l2_mismatch_bound(cfg300, 1e-3)
+    assert (r_2 + d_ap) * a == pytest.approx(1e-3 * (r_2 - d_ap) ** 2, rel=1e-12)
+    single = ArrayConfig(carrier_freq=1e9, n_elements=1)
+    assert linf_mismatch_bound(single, 1e-3) == l2_mismatch_bound(single, 1e-3) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    freq_ghz=st.floats(0.5, 300.0),
+    n_elements=st.integers(2, 64),
+    delta_exp=st.floats(-5.0, -1.0),
+    stretch=st.floats(1.0, 10.0),
+)
+def test_linf_below_delta_beyond_its_majorant(freq_ghz, n_elements, delta_exp, stretch):
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    delta = 10**delta_exp
+    r_inf = linf_mismatch_bound(cfg, delta)
+    assert r_inf > cfg.aperture
+    assert oracles.linf_dense_max(cfg, stretch * r_inf, n_angles=20_000)[0] < delta
+
+
+# delta_2 stops at 1e-4: near 10^6 m the oracle's direct law of cosines loses
+# about k*eps*r radians of phase, as much as the mismatch it measures there
+@settings(max_examples=40, deadline=None)
+@given(
+    freq_ghz=st.floats(0.5, 300.0),
+    n_elements=st.integers(2, 64),
+    delta_exp=st.floats(-4.0, -1.0),
+    stretch=st.floats(1.0, 10.0),
+)
+def test_l2_below_delta_beyond_its_majorant(freq_ghz, n_elements, delta_exp, stretch):
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    delta = 10**delta_exp
+    r_2 = l2_mismatch_bound(cfg, delta)
+    assert r_2 > cfg.aperture
+    assert oracles.l2_dense_max(cfg, stretch * r_2, n_angles=20_000)[0] < delta
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    freq_ghz=st.floats(0.5, 300.0),
+    n_elements=st.integers(2, 64),
+    depth=st.floats(-8.0, 0.0),
+)
+def test_majorants_dominate_the_worst_case_kernels(freq_ghz, n_elements, depth):
+    """Both majorants decrease on r > D, so a majorant is at least the
+    library's worst-case value v at r exactly when the radius it gives for
+    the tolerance v lies at or beyond r.  r runs over (D, 10^4 * r_min]."""
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    d_ap = cfg.aperture
+    r = d_ap + (1e4 * resolve_r_min(cfg, EnvelopeSearchPolicy()) - d_ap) * 10**depth
+    assert r > d_ap
+    linf = e_linf_worst_batch(cfg, np.array([r]))[0][0]
+    l2 = e_l2_worst_batch(cfg, np.array([r]))[0][0]
+    assert r <= linf_mismatch_bound(cfg, linf)
+    assert r <= l2_mismatch_bound(cfg, l2)
+
+
+def test_flagship_linf_l2_scans_stop_at_the_majorants(cfg300, monkeypatch):
+    """r_inf = 56.15 m and r_2 = 1,429 m lie in the grid chunks that hold
+    opt_linf (55.83 m) and opt_l2 (1,410.6 m), so each scan evaluates one
+    chunk; from twice the Taylor bounds down they cost 701 and 1,378 ranges."""
+    seen = {}
+    for name in ("e_linf_worst_batch", "e_l2_worst_batch"):
+        real = getattr(boundaries, name)
+        counts = seen[name] = []
+
+        def counting(cfg, rs, *args, real=real, counts=counts):
+            counts.append(len(rs))
+            return real(cfg, rs, *args)
+
+        monkeypatch.setattr(boundaries, name, counting)
+    bounds = boundary_set(cfg300)
+    for counts in seen.values():
+        assert 0 < sum(counts) <= _SCAN_CHUNK
+    assert bounds.opt_linf == 55.82867055805448 and bounds.opt_l2 == 1410.60128533603
+    assert bounds.opt_linf_certified and bounds.opt_l2_certified
+
+
 def test_optimal_radius_trivial_tolerance(cfg10_5):
     r_min = resolve_r_min(cfg10_5, FAST_ENVELOPE)
     result = optimal_radius(
@@ -456,14 +550,18 @@ def test_last_crossing_skips_chunks_above_the_proven_bound(last):
         _solve(metric, batch, heuristic_horizon=1.0)
 
 
-def test_proven_bound_beyond_the_horizon_ends_the_grid():
-    """A proven bound of 500 m lies beyond the 100 m heuristic horizon: the
-    grid runs to the bound, so a last violation at 400 m is found."""
+@pytest.mark.parametrize("horizon", [{"heuristic_horizon": 1.0}, {"analytic_bound": 50.0}],
+                         ids=["heuristic", "analytic"])
+def test_proven_bound_beyond_the_horizon_ends_the_grid(horizon):
+    """A proven bound of 500 m lies beyond the 100 m horizon of either grid:
+    the grid runs to the bound, so a last violation at 400 m is found, and
+    only the top chunk of the longer grid is evaluated."""
     grid = _log_grid(1.0, 500.0, ENGINE_POLICY.points_per_decade)
     last = int(np.flatnonzero(grid <= 400.0)[-1])
     metric, batch, seen = _step_metric(float(grid[last]))
-    proven = {"heuristic_horizon": 1.0, "proven_bound": 500.0}
+    proven = {**horizon, "proven_bound": 500.0}
     res = _solve(metric, batch, **proven)
+    assert res.certified == ("analytic_bound" in horizon)
     assert max(seen) == 500.0 and len(seen) == len(grid) % _SCAN_CHUNK
     assert grid[last] < res.radius <= grid[last + 1]
     assert res.radius == oracles.optimal_radius_full_scan(
@@ -507,9 +605,11 @@ def test_optimal_radius_equals_full_scan(freq_ghz, n_elements):
     r_min = resolve_r_min(cfg, EQUIV_ENVELOPE)
     cases = [
         (lambda rs: e_linf_worst_batch(cfg, rs, EQUIV_ANGLES)[0], tol.delta_inf,
-         {"analytic_bound": spf_distance(cfg, tol.delta_inf)}),
+         {"analytic_bound": spf_distance(cfg, tol.delta_inf),
+          "proven_bound": linf_mismatch_bound(cfg, tol.delta_inf)}),
         (lambda rs: e_l2_worst_batch(cfg, rs, EQUIV_ANGLES)[0], tol.delta_2,
-         {"analytic_bound": l2_certification_bound(cfg, tol.delta_2)}),
+         {"analytic_bound": l2_certification_bound(cfg, tol.delta_2),
+          "proven_bound": l2_mismatch_bound(cfg, tol.delta_2)}),
         (lambda rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET, EQUIV_ANGLES)[0], tol.delta_se,
          {"heuristic_horizon": max(rayleigh_distance(cfg), sspf_distance(cfg, tol.delta_inf))}),
         (lambda rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET, EQUIV_ANGLES)[0], tol.delta_se,

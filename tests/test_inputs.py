@@ -7,12 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearfield import (
+    DEFAULT_BUDGET,
     AngleSearchPolicy,
     ArrayConfig,
+    CubicCoefficients,
     EnvelopeSearchPolicy,
     LinkBudget,
     PolarPosition,
     Tolerances,
+    epf_distance,
+    l2_certification_bound,
+    l2_mismatch_bound,
+    linf_mismatch_bound,
+    optimal_radius,
+    se_gain_bound,
+    spf_distance,
+    sspf_distance,
 )
 from nearfield.sweep import RangeGrid
 
@@ -73,3 +83,31 @@ def test_fractional_count_rejected_by_name(make, base, name, value):
     # a whole float (as a JSON config file may carry) is stored as an int
     whole = getattr(make(**base, **{name: math.ceil(value) + 0.0}), name)
     assert whole == math.ceil(value) and type(whole) is int
+
+
+# every function a tolerance enters directly, with the argument name it reports
+TOLERANCE_ARGS = [
+    (sspf_distance, "delta_inf"),
+    (spf_distance, "delta_inf"),
+    (CubicCoefficients.from_config, "delta_inf"),
+    (epf_distance, "delta_inf"),
+    (linf_mismatch_bound, "delta_inf"),
+    (l2_certification_bound, "delta_2"),
+    (l2_mismatch_bound, "delta_2"),
+    (lambda cfg, value: se_gain_bound(cfg, value, DEFAULT_BUDGET), "delta_se"),
+    (lambda cfg, value: optimal_radius(lambda r: 0.0, value, r_min=1.0, analytic_bound=2.0),
+     "delta"),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, name", TOLERANCE_ARGS,
+    ids=["sspf", "spf", "cubic", "epf", "linf_bound", "l2_certification", "l2_bound",
+         "se_gain_bound", "optimal_radius"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+def test_bad_tolerance_rejected_by_name(solve, name, value):
+    cfg = ArrayConfig(carrier_freq=300e9, n_elements=4)
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
+        solve(cfg, value)
+    solve(cfg, 1e-3)
