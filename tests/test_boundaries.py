@@ -550,9 +550,7 @@ def test_last_crossing_skips_chunks_above_the_proven_bound(last):
         _solve(metric, batch, heuristic_horizon=1.0)
 
 
-@pytest.mark.parametrize("horizon", [{"heuristic_horizon": 1.0}, {"analytic_bound": 50.0}],
-                         ids=["heuristic", "analytic"])
-def test_proven_bound_beyond_the_horizon_ends_the_grid(horizon):
+def _check_proven_bound_beyond_the_horizon(horizon):
     """A proven bound of 500 m lies beyond the 100 m horizon of either grid:
     the grid runs to the bound, so a last violation at 400 m is found, and
     only the top chunk of the longer grid is evaluated."""
@@ -571,6 +569,14 @@ def test_proven_bound_beyond_the_horizon_ends_the_grid(horizon):
     metric, batch, _ = _step_metric(500.0)
     with pytest.raises(HorizonExceededError, match="scan horizon 500 m$"):
         _solve(metric, batch, **proven)
+
+
+def test_proven_bound_beyond_the_horizon_ends_the_grid():
+    _check_proven_bound_beyond_the_horizon({"heuristic_horizon": 1.0})
+
+
+def test_proven_bound_beyond_the_analytic_bound_ends_the_grid():
+    _check_proven_bound_beyond_the_horizon({"analytic_bound": 50.0})
 
 
 def test_last_crossing_maps_a_scalar_metric():
