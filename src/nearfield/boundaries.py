@@ -246,6 +246,8 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
     hi = max(d_ap, cfg.spacing)
     while h(hi) >= delta_2:
         hi *= 2.0
+        if math.isinf(hi * hi):  # r**2 overflows: h would read 0 and end the search
+            raise HorizonExceededError(f"delta_2 {delta_2} needs ranges whose square overflows")
     lo = hi / 2.0
     if h(lo) < delta_2 and lo <= max(d_ap, cfg.spacing):
         return lo
@@ -319,6 +321,8 @@ def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> floa
 
 
 def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
+    if not math.isfinite(hi):
+        raise HorizonExceededError(f"scan end {hi} m is not a finite horizon")
     decades = math.log10(hi / lo)
     n = max(int(math.ceil(decades * points_per_decade)) + 1, 16)
     return np.geomspace(lo, hi, n)

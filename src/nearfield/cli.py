@@ -22,13 +22,12 @@ from .sweep import (
     METRIC_NAMES,
     PRESET_NAMES,
     REFERENCE_RADII,
-    CurveRecord,
     RangeGrid,
     SweepSpec,
     boundary_csv_lines,
     config_id,
     curve_csv_lines,
-    curve_values,
+    curve_records,
     preset,
     radius_columns,
     run_sweep,
@@ -211,16 +210,9 @@ def cmd_curve(args) -> int:
         angle_policy=_angle_policy_from(args, file_cfg),
     )
     # curve output needs no transition radii: evaluate the grid directly
-    grid = spec.r_grid.values()
-    values, thetas, errors = curve_values(cfg, args.metric, grid, spec)
+    records, errors = curve_records(cfg, args.metric, spec.r_grid.values(), spec)
     for message in errors:
         print(message, file=sys.stderr)
-    cid = config_id(cfg)
-    records = [
-        CurveRecord(cid, cfg.carrier_freq, cfg.n_elements, args.metric,
-                    float(r), float(v), float(t))
-        for r, v, t in zip(grid, values, thetas)
-    ]
     lines = curve_csv_lines(records)
     if args.out == "-":
         write_lines(lines, sys.stdout)

@@ -1,8 +1,7 @@
-"""Batch evaluation across configurations and range grids, with CSV/JSON output."""
+"""Batch evaluation across configurations and range grids, with CSV output."""
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +18,10 @@ from .boundaries import (
     boundary_set,
     resolve_r_min,
 )
-from .link import DEFAULT_BUDGET, LinkBudget, se_loss_worst, se_loss_worst_batch
-from .metrics import (
+# the scalar views are unused here, but perfbench/tracing.py wraps them by
+# name in this module and fails to install when one is missing
+from .link import DEFAULT_BUDGET, LinkBudget, se_loss_worst, se_loss_worst_batch  # noqa: F401
+from .metrics import (  # noqa: F401
     AngleSearchPolicy,
     e_l2_worst,
     e_l2_worst_batch,
@@ -84,8 +85,6 @@ class RangeGrid:
             raise ValueError(f"stop must lie above start {self.start}, got {self.stop}")
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.start])
         return np.geomspace(self.start, self.stop, self.points)
 
 
@@ -146,38 +145,38 @@ def config_id(cfg: ArrayConfig) -> str:
     return f"{cfg.carrier_freq / 1e9:g}GHz-N{cfg.n_elements}"
 
 
-def curve_values(
+def curve_records(
     cfg: ArrayConfig, metric: str, grid: np.ndarray, spec: SweepSpec
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Worst-case values, maximizing angles and per-point errors of one metric
-    on a range grid; points that fail become NaN gap markers."""
+) -> tuple[list[CurveRecord], list[str]]:
+    """Worst-case curve rows of one metric on a range grid, and per-point errors.
+
+    When the grid holds a range below ~2e-162 m, where the source coincides
+    with an element, each range is evaluated alone (the same bits) and the
+    failing ones become NaN gap markers instead of aborting the curve.
+    """
+    # module globals, looked up per call, so wrapped names take effect
     batch = {
         "linf": lambda rs: e_linf_worst_batch(cfg, rs, spec.angle_policy),
         "l2": lambda rs: e_l2_worst_batch(cfg, rs, spec.angle_policy),
         "se": lambda rs: se_loss_worst_batch(cfg, rs, spec.budget, spec.angle_policy),
     }[metric]
-    scalar = {
-        "linf": lambda r: e_linf_worst(cfg, r, spec.angle_policy),
-        "l2": lambda r: e_l2_worst(cfg, r, spec.angle_policy),
-        "se": lambda r: se_loss_worst(cfg, r, spec.budget, spec.angle_policy),
-    }[metric]
+    errors = []
     try:
         values, thetas = batch(grid)
-        return values, thetas, []
     except DegenerateGeometryError:
-        pass
-    # gap markers: failed points become NaN rows instead of aborting the curve
-    values = np.empty(len(grid))
-    thetas = np.empty(len(grid))
-    errors = []
-    for i, r in enumerate(grid):
-        try:
-            sample = scalar(float(r))
-            values[i], thetas[i] = sample.value, sample.theta_star
-        except DegenerateGeometryError as exc:
-            values[i] = thetas[i] = math.nan
-            errors.append(f"{config_id(cfg)}/{metric} at r={r!r}: {exc}")
-    return values, thetas, errors
+        values = np.empty(len(grid))
+        thetas = np.empty(len(grid))
+        for i, r in enumerate(grid):
+            try:
+                values[i : i + 1], thetas[i : i + 1] = batch(grid[i : i + 1])
+            except DegenerateGeometryError as exc:
+                values[i] = thetas[i] = math.nan
+                errors.append(f"{config_id(cfg)}/{metric} at r={r!r}: {exc}")
+    return [
+        CurveRecord(config_id(cfg), cfg.carrier_freq, cfg.n_elements, metric,
+                    float(r), float(v), float(t))
+        for r, v, t in zip(grid, values, thetas)
+    ], errors
 
 
 def _config_job(cfg: ArrayConfig, spec: SweepSpec):
@@ -185,7 +184,7 @@ def _config_job(cfg: ArrayConfig, spec: SweepSpec):
     curves: list[CurveRecord] = []
     errors: list[str] = []
     boundary: BoundaryRecord | None = None
-    grid: np.ndarray | None = None
+    grid = None if spec.r_grid is None else spec.r_grid.values()
     try:
         bounds = boundary_set(
             cfg, spec.tolerances, spec.budget, spec.angle_policy, spec.envelope_policy
@@ -193,32 +192,17 @@ def _config_job(cfg: ArrayConfig, spec: SweepSpec):
         boundary = BoundaryRecord(
             config_id=cid, freq_hz=cfg.carrier_freq, n_elements=cfg.n_elements, bounds=bounds
         )
-        if spec.r_grid is not None:
-            grid = spec.r_grid.values()
-        else:
+        if grid is None:
             r_min = resolve_r_min(cfg, spec.envelope_policy)
             top = max(bounds.rayleigh, bounds.epf, bounds.spf, bounds.sspf, r_min)
             grid = RangeGrid(r_min, 10.0 * top, spec.auto_grid_points).values()
     except Exception as exc:  # keep other configs alive; surface the failure
         errors.append(f"{cid}: {type(exc).__name__}: {exc}")
-        if spec.r_grid is not None:
-            grid = spec.r_grid.values()
     if grid is not None:
         for metric in spec.metrics:
-            values, thetas, point_errors = curve_values(cfg, metric, grid, spec)
+            rows, point_errors = curve_records(cfg, metric, grid, spec)
+            curves.extend(rows)
             errors.extend(point_errors)
-            curves.extend(
-                CurveRecord(
-                    config_id=cid,
-                    freq_hz=cfg.carrier_freq,
-                    n_elements=cfg.n_elements,
-                    metric=metric,
-                    range_m=float(r),
-                    value=float(v),
-                    theta_star_rad=float(t),
-                )
-                for r, v, t in zip(grid, values, thetas)
-            )
     return curves, boundary, errors
 
 
@@ -284,26 +268,6 @@ def write_lines(lines: list[str], out: IO[str]) -> None:
 def radius_columns(bounds: BoundarySet) -> dict[str, float]:
     """The seven radii as `<radius>_m` columns, in BoundarySet field order."""
     return {f"{k}_m": v for k, v in asdict(bounds).items() if not k.endswith("_certified")}
-
-
-def _boundary_dict(rec: BoundaryRecord) -> dict:
-    return {
-        "config_id": rec.config_id,
-        "freq_hz": rec.freq_hz,
-        "n_elements": rec.n_elements,
-        **radius_columns(rec.bounds),
-        "opt_se_certified": rec.bounds.opt_se_certified,
-    }
-
-
-def result_to_json(result: SweepResult) -> str:
-    doc = {
-        "schema": 1,
-        "curves": [asdict(c) for c in result.curves],
-        "boundaries": [_boundary_dict(b) for b in result.boundaries],
-        "errors": list(result.errors),
-    }
-    return json.dumps(doc, indent=2)
 
 
 def _grid_configs(freqs_ghz, element_counts) -> tuple[ArrayConfig, ...]:

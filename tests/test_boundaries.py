@@ -168,6 +168,15 @@ def test_l2_certification_bound_properties(cfg300):
     assert l2_certification_bound(cfg300, 1e-4) > bound
 
 
+def test_l2_certification_bound_refuses_an_overflowing_search(cfg300):
+    # tiny but ordinary tolerances keep their bits
+    assert l2_certification_bound(cfg300, 1e-100) == 3.1172453105262277e100
+    # past ~1.3e154 m, r**2 overflows and the envelope would read 0, ending
+    # the search far below the true bound (l2_mismatch_bound gives 1.43e200 m)
+    with pytest.raises(HorizonExceededError, match="delta_2"):
+        l2_certification_bound(cfg300, 1e-200)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     freq_ghz=st.floats(0.5, 300.0),

@@ -117,6 +117,22 @@ def test_curve_linf_crosses_tolerance_near_56m(capsys, tmp_path):
     assert 54.0 < max(above) < 57.0
 
 
+def test_curve_gap_marker_below_the_underflow_range(capsys):
+    # at 1e-170 m the reference range R_0 underflows to 0: that row becomes a
+    # NaN gap marker and the rest of the curve is still evaluated
+    code, out, err = run_cli(
+        capsys, "curve", "--metric", "linf", "--freq-ghz", "1", "--elements", "2",
+        "--r-start", "1e-170", "--r-stop", "1", "--r-points", "4",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 4
+    assert rows[0][5:] == ["nan", "nan"]
+    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row[4:])
+    lines = err.splitlines()
+    assert len(lines) == 1 and "element 0" in lines[0]
+
+
 def test_se_command_json(capsys):
     code, out, _ = run_cli(
         capsys, "se", "--freq-ghz", "10", "--elements", "5", "--range-m", "0.5", "--json"
@@ -282,6 +298,13 @@ def test_solver_failure_exits_3(capsys):
     )
     assert code == 3
     assert "solver error" in err and "not a finite horizon" in err
+    # a delta_inf so small that the small-phase radius, the end of the EPF
+    # scan, overflows to inf
+    code, _, err = run_cli(
+        capsys, "boundaries", "--freq-ghz", "28", "--elements", "4", "--delta-inf", "1e-310",
+    )
+    assert code == 3
+    assert "solver error" in err and "inf m is not a finite horizon" in err
     # delta_se = 1e-12 used to fail the heuristic trailing-decade check;
     # r_G (4.06e6 m) now bounds the scan instead
     code, out, _ = run_cli(
