@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 LIGHT_SPEED = 3.0e8
 """Default propagation speed in m/s (3e8, so half-wave geometries stay exact)."""
+
+MAX_RANGE_M = math.sqrt(sys.float_info.max)
+"""Largest range whose square is finite (about 1.34e154 m); every distance
+computation squares the range, so a larger one yields inf and NaN metrics."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -95,6 +100,8 @@ class PolarPosition:
         require_finite(self)
         if self.range_m <= 0:
             raise ValueError(f"range_m must be positive, got {self.range_m}")
+        if self.range_m > MAX_RANGE_M:
+            raise ValueError(f"range_m must be at most {MAX_RANGE_M!r} m, got {self.range_m}")
 
 
 def distances(r, nd, cos_t):

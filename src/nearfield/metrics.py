@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, PolarPosition, distances, require_finite, require_whole
+from .arrays import (
+    MAX_RANGE_M,
+    ArrayConfig,
+    PolarPosition,
+    distances,
+    require_finite,
+    require_whole,
+)
 
 THETA_INSET = 1e-9
 """Offset of the angle-grid endpoints, keeping the search on the open interval."""
@@ -29,6 +40,57 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 # cap per-block tensor size in the batched evaluator (elements, not bytes)
 _BLOCK_BUDGET = 2_000_000
+
+# cap per-slab tensor size of the coarse pass inside a block (elements), so a
+# grid_fn call's (rows, angles, elements) temporaries stay near cache size
+_SLAB_BUDGET = 65_536
+
+# but a slab holds at least this many rows.  glibc trims the heap once more
+# than twice its largest freed mmap chunk is free; slab temporaries three
+# times a row's keep that threshold above the five one-row temporaries of a
+# one-range query, whose pages are otherwise returned and re-faulted on every
+# call (about 420 per query at N = 64 with one-row slabs)
+_SLAB_MIN_ROWS = 3
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count() -> int:
+    """Worker cap from NEARFIELD_THREADS; 0 or unset means the usable core count.
+
+    It sizes both the sweep's per-configuration pool and the kernel's block
+    pool; 1 runs everything serially.
+    """
+    raw = os.environ.get("NEARFIELD_THREADS", "").strip()
+    try:
+        n = int(raw) if raw else 0
+    except ValueError as exc:
+        raise ValueError(f"NEARFIELD_THREADS must be an integer, got {raw!r}") from exc
+    if n < 0:
+        raise ValueError(f"NEARFIELD_THREADS must be nonnegative, got {n}")
+    return n or _usable_cores()
+
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide pool that runs kernel blocks, rebuilt only when the
+    worker count changes.  A replaced pool is dropped, not shut down, so a
+    caller still mapping on it finishes; its idle threads exit once the last
+    reference to it goes.  Block tasks never submit tasks of their own, so a
+    call from a sweep worker cannot deadlock it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="nearfield-block"))
+        return _pool[1]
 
 
 @dataclass(frozen=True)
@@ -201,19 +263,30 @@ def worst_over_angle_batch(
     to (B, T) metric values.
     """
     r_values = np.asarray(r_values, dtype=float)
-    if not np.all(np.isfinite(r_values) & (r_values > 0)):
-        raise ValueError("ranges must be finite and positive")
+    # a range whose square overflows turns the distances to inf and the values to NaN
+    ok = (r_values > 0) & (r_values <= MAX_RANGE_M)
+    if not np.all(ok):
+        bad = float(r_values[~ok][0])
+        raise ValueError(
+            f"ranges must be positive and at most {MAX_RANGE_M!r} m, got {bad!r}"
+        )
     if cfg.n_elements == 1:
         return np.zeros_like(r_values), np.zeros_like(r_values)
     thetas = _angle_grid(policy)
     cos_row = _clamped_cos(thetas)[None, :]
     n_t = len(thetas)
+    # the refinement's bits depend on which rows share a block: keep this fixed
     block = max(1, min(64, _BLOCK_BUDGET // (n_t * cfg.n_elements)))
+    slab = max(_SLAB_MIN_ROWS, _SLAB_BUDGET // (n_t * cfg.n_elements))
     values = np.empty_like(r_values)
     theta_stars = np.empty_like(r_values)
-    for start in range(0, len(r_values), block):
+
+    def run_block(start: int) -> None:
         rb = r_values[start : start + block]
-        coarse = grid_fn(cfg, rb, cos_row)
+        # coarse values are per row, so filling the rows slab by slab keeps their bits
+        coarse = np.concatenate(
+            [grid_fn(cfg, rb[s : s + slab], cos_row) for s in range(0, len(rb), slab)]
+        )
         idx = coarse.argmax(axis=1)  # first max wins: smallest angle on ties
         rows = np.arange(len(rb))
         best_v = coarse[rows, idx]
@@ -230,6 +303,19 @@ def worst_over_angle_batch(
         better = ref_v > best_v
         values[start : start + block] = np.where(better, ref_v, best_v)
         theta_stars[start : start + block] = np.where(better, ref_t, best_t)
+
+    starts = range(0, len(r_values), block)
+    workers = worker_count() if len(starts) > 1 else 1
+    if workers == 1:
+        for start in starts:
+            run_block(start)
+    else:
+        # numpy's errstate lives in a context variable that pool threads do not
+        # inherit; map re-raises the first failing block in block order
+        contexts = [contextvars.copy_context() for _ in starts]
+        for _ in _block_pool(workers).map(lambda ctx, start: ctx.run(run_block, start),
+                                          contexts, starts):
+            pass
     return values, theta_stars
 
 

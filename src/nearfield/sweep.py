@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import math
-import os
+import os  # noqa: F401  (tests fake the core count through sweep.os)
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
 
-from .arrays import ArrayConfig, DegenerateGeometryError, require_finite, require_whole
+from .arrays import (
+    MAX_RANGE_M,
+    ArrayConfig,
+    DegenerateGeometryError,
+    require_finite,
+    require_whole,
+)
 from .boundaries import (
     BoundarySet,
     EnvelopeSearchPolicy,
@@ -27,6 +33,7 @@ from .metrics import (  # noqa: F401
     e_l2_worst_batch,
     e_linf_worst,
     e_linf_worst_batch,
+    worker_count,
 )
 
 METRIC_NAMES = ("linf", "l2", "se")
@@ -47,24 +54,6 @@ REFERENCE_RADII = {
 }
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def worker_count() -> int:
-    """Worker cap from NEARFIELD_THREADS; 0 or unset means the usable core count."""
-    raw = os.environ.get("NEARFIELD_THREADS", "").strip()
-    try:
-        n = int(raw) if raw else 0
-    except ValueError as exc:
-        raise ValueError(f"NEARFIELD_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError(f"NEARFIELD_THREADS must be nonnegative, got {n}")
-    return n or _usable_cores()
-
-
 @dataclass(frozen=True)
 class RangeGrid:
     """Log-spaced range grid; a single-point grid collapses to `start`."""
@@ -83,6 +72,9 @@ class RangeGrid:
         # a single-point grid may end at its start, but never below it
         if self.stop < self.start or (self.points >= 2 and self.stop == self.start):
             raise ValueError(f"stop must lie above start {self.start}, got {self.stop}")
+        for name, value in (("start", self.start), ("stop", self.stop)):
+            if value > MAX_RANGE_M:
+                raise ValueError(f"{name} must be at most {MAX_RANGE_M!r} m, got {value}")
 
     def values(self) -> np.ndarray:
         return np.geomspace(self.start, self.stop, self.points)

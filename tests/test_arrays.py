@@ -17,6 +17,7 @@ from nearfield import (
     steering_ff,
     steering_nf,
 )
+from nearfield.arrays import MAX_RANGE_M
 
 
 def test_config_invariants():
@@ -46,6 +47,10 @@ def test_config_rejects_bad_values(kwargs):
 def test_position_requires_positive_range():
     with pytest.raises(ValueError):
         PolarPosition(theta=0.3, range_m=0.0)
+    # every distance squares the range: one whose square overflows is refused
+    PolarPosition(theta=0.3, range_m=MAX_RANGE_M)
+    with pytest.raises(ValueError, match="range_m must be at most .* got 1e\\+160"):
+        PolarPosition(theta=0.3, range_m=1e160)
 
 
 def test_element_distance_trivia():

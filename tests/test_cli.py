@@ -270,6 +270,17 @@ def test_invalid_values_exit_2(capsys, tmp_path):
     assert code == 2 and "stop" in err
     code, _, err = run_cli(capsys, "se", "--freq-ghz", "nan", "--elements", "5", "--range-m", "1")
     assert code == 2 and "carrier_freq" in err
+    # ranges whose square overflows would give NaN metrics: refused by name and value
+    code, out, err = run_cli(
+        capsys, "curve", "--metric", "l2", "--freq-ghz", "300", "--elements", "64",
+        "--r-start", "1e150", "--r-stop", "1e160", "--r-points", "3",
+    )
+    assert code == 2 and "stop" in err and "1e+160" in err and not out
+    code, _, err = run_cli(
+        capsys, "se", "--freq-ghz", "28", "--elements", "4", "--range-m", "1e160",
+        "--theta-deg", "3",
+    )
+    assert code == 2 and "range_m" in err and "1e+160" in err
 
 
 def test_usage_errors_exit_2():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,15 +11,26 @@ import oracles
 from nearfield import (
     AngleSearchPolicy,
     ArrayConfig,
+    EnvelopeSearchPolicy,
     PolarPosition,
+    Tolerances,
     array_gain_efficiency,
     e_l2_at,
     e_l2_worst,
     e_linf_at,
     e_linf_worst,
+    resolve_r_min,
+    spf_distance,
 )
+from nearfield import metrics
+from nearfield.arrays import MAX_RANGE_M, DegenerateGeometryError
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
-from nearfield.metrics import _golden_max_batch, e_l2_worst_batch, e_linf_worst_batch
+from nearfield.metrics import (
+    _golden_max_batch,
+    e_l2_worst_batch,
+    e_linf_worst_batch,
+    worker_count,
+)
 
 RAYLEIGH_300_64 = 1.9845
 
@@ -170,9 +183,11 @@ def test_worst_rejects_nonpositive_range(cfg10_5):
         e_l2_worst,
         lambda cfg, r: se_loss_worst(cfg, r, DEFAULT_BUDGET),
     ):
-        for r in (math.nan, math.inf, -math.inf):
+        for r in (math.nan, math.inf, -math.inf, math.nextafter(MAX_RANGE_M, math.inf)):
             with pytest.raises(ValueError, match="ranges"):
                 worst(cfg10_5, r)
+    # the largest range with a finite square still evaluates
+    assert math.isfinite(e_l2_worst(cfg10_5, MAX_RANGE_M).value)
 
 
 def test_golden_max_finds_quadratic_peak():
@@ -214,3 +229,85 @@ def test_eta_bias_at_rayleigh_worst_angle(cfg300):
     )
     assert 0.0 < eta < 1.0
     assert 1 - eta == pytest.approx(0.2057, abs=0.01)
+
+
+BATCHES = {
+    "linf": e_linf_worst_batch,
+    "l2": e_l2_worst_batch,
+    "se": lambda cfg, rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET),
+}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ArrayConfig(1e9, 2), ArrayConfig(10e9, 5), ArrayConfig(300e9, 10), ArrayConfig(300e9, 64)],
+    ids=lambda cfg: f"{cfg.carrier_freq / 1e9:g}GHz-N{cfg.n_elements}",
+)
+def test_batch_values_do_not_depend_on_thread_count(cfg, monkeypatch):
+    # 150 ranges are three blocks at N <= 10 and four at N = 64; on this span
+    # a few SE rows change bits when the rows sharing a block change
+    r_min = resolve_r_min(cfg, EnvelopeSearchPolicy())
+    rs = np.geomspace(r_min, 2.0 * spf_distance(cfg, Tolerances().delta_inf), 150)
+
+    def run(threads: int) -> dict:
+        monkeypatch.setenv("NEARFIELD_THREADS", str(threads))
+        return {name: tuple(a.tobytes() for a in batch(cfg, rs)) for name, batch in BATCHES.items()}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # let the block workers interleave often
+    try:
+        runs = {threads: run(threads) for threads in (1, 2, 3)}
+        # the serial whole-block coarse pass is the reference for the slabs
+        monkeypatch.setattr(metrics, "_SLAB_BUDGET", 1 << 40)
+        whole_blocks = run(1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[1] == whole_blocks
+    assert runs[2] == whole_blocks
+    assert runs[3] == whole_blocks
+
+
+def test_degenerate_range_in_a_later_block_surfaces_unchanged(cfg10_5, monkeypatch):
+    # below ~2e-162 m the range to element 0 underflows to 0; the block of 64
+    # rows that holds it is the third of four
+    rs = np.geomspace(0.2, 300.0, 200)
+    rs[150] = 1e-170
+    raised = {}
+    for threads in (1, 2):
+        monkeypatch.setenv("NEARFIELD_THREADS", str(threads))
+        with pytest.raises(DegenerateGeometryError) as exc:
+            e_linf_worst_batch(cfg10_5, rs)
+        raised[threads] = (type(exc.value), str(exc.value))
+    assert raised[2] == raised[1]
+
+
+def test_one_block_and_one_worker_run_inline(cfg10_5, monkeypatch):
+    def no_pool(workers):
+        raise AssertionError("the block pool was used")
+
+    monkeypatch.setattr(metrics, "_block_pool", no_pool)
+    monkeypatch.setenv("NEARFIELD_THREADS", "2")
+    e_linf_worst(cfg10_5, 1.0)
+    e_l2_worst_batch(cfg10_5, np.geomspace(0.2, 300.0, 64))  # one block of 64 rows
+    se_loss_worst(cfg10_5, 1.0, DEFAULT_BUDGET)
+    monkeypatch.setenv("NEARFIELD_THREADS", "1")
+    e_linf_worst_batch(cfg10_5, np.geomspace(0.2, 300.0, 200))
+
+
+def test_block_workers_see_the_callers_errstate(cfg1_2, monkeypatch):
+    def dividing_grid(cfg, r, cos_t):
+        return np.ones((len(r), cos_t.shape[1])) / 0.0
+
+    monkeypatch.setenv("NEARFIELD_THREADS", "2")
+    rs = np.geomspace(0.2, 300.0, 130)
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        metrics.worst_over_angle_batch(cfg1_2, rs, AngleSearchPolicy(), dividing_grid)
+
+
+def test_block_pool_is_shared_across_calls(cfg1_2, monkeypatch):
+    monkeypatch.setenv("NEARFIELD_THREADS", "2")
+    start = threading.active_count()
+    rs = np.geomspace(0.2, 300.0, 130)  # three blocks of up to 64 rows
+    for _ in range(50):
+        e_linf_worst_batch(cfg1_2, rs)
+    assert threading.active_count() <= start + worker_count()
