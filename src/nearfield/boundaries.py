@@ -241,7 +241,9 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
         return 0.0
 
     def h(r: float) -> float:
-        return (r + d_ap) * float(small_angle_envelope(cfg, r))
+        # an overflowing r**3 makes its term read 0, which is its limit
+        with np.errstate(over="ignore"):
+            return (r + d_ap) * float(small_angle_envelope(cfg, r))
 
     hi = max(d_ap, cfg.spacing)
     while h(hi) >= delta_2:

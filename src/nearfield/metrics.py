@@ -62,8 +62,7 @@ def _usable_cores() -> int:
 def worker_count() -> int:
     """Worker cap from NEARFIELD_THREADS; 0 or unset means the usable core count.
 
-    It sizes both the sweep's per-configuration pool and the kernel's block
-    pool; 1 runs everything serially.
+    It sizes the one pool behind `parallel_map`; 1 runs everything serially.
     """
     raw = os.environ.get("NEARFIELD_THREADS", "").strip()
     try:
@@ -77,20 +76,34 @@ def worker_count() -> int:
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None
 _pool_lock = threading.Lock()
+_POOL_PREFIX = "nearfield-pool"
 
 
 def _block_pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide pool that runs kernel blocks, rebuilt only when the
+    """The process-wide pool behind `parallel_map`, rebuilt only when the
     worker count changes.  A replaced pool is dropped, not shut down, so a
     caller still mapping on it finishes; its idle threads exit once the last
-    reference to it goes.  Block tasks never submit tasks of their own, so a
-    call from a sweep worker cannot deadlock it.
+    reference to it goes.
     """
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != workers:
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="nearfield-block"))
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix=_POOL_PREFIX))
         return _pool[1]
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(x) for x in items] on the shared pool; results keep item order and
+    the first failing item in that order raises.  It runs inline with one
+    worker, under two items, or inside a pool task: nested maps never wait on
+    the pool, so they cannot deadlock it and at most `worker_count()` threads compute."""
+    items = list(items)
+    workers = worker_count()
+    if workers == 1 or len(items) < 2 or threading.current_thread().name.startswith(_POOL_PREFIX):
+        return [fn(x) for x in items]
+    # numpy's errstate lives in a context variable that pool threads do not inherit
+    contexts = [contextvars.copy_context() for _ in items]
+    return list(_block_pool(workers).map(lambda ctx, x: ctx.run(fn, x), contexts, items))
 
 
 @dataclass(frozen=True)
@@ -304,18 +317,7 @@ def worst_over_angle_batch(
         values[start : start + block] = np.where(better, ref_v, best_v)
         theta_stars[start : start + block] = np.where(better, ref_t, best_t)
 
-    starts = range(0, len(r_values), block)
-    workers = worker_count() if len(starts) > 1 else 1
-    if workers == 1:
-        for start in starts:
-            run_block(start)
-    else:
-        # numpy's errstate lives in a context variable that pool threads do not
-        # inherit; map re-raises the first failing block in block order
-        contexts = [contextvars.copy_context() for _ in starts]
-        for _ in _block_pool(workers).map(lambda ctx, start: ctx.run(run_block, start),
-                                          contexts, starts):
-            pass
+    parallel_map(run_block, range(0, len(r_values), block))
     return values, theta_stars
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os  # noqa: F401  (tests fake the core count through sweep.os)
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
@@ -33,7 +32,8 @@ from .metrics import (  # noqa: F401
     e_l2_worst_batch,
     e_linf_worst,
     e_linf_worst_batch,
-    worker_count,
+    parallel_map,
+    worker_count,  # tests read it through this module
 )
 
 METRIC_NAMES = ("linf", "l2", "se")
@@ -163,7 +163,7 @@ def curve_records(
                 values[i : i + 1], thetas[i : i + 1] = batch(grid[i : i + 1])
             except DegenerateGeometryError as exc:
                 values[i] = thetas[i] = math.nan
-                errors.append(f"{config_id(cfg)}/{metric} at r={r!r}: {exc}")
+                errors.append(f"{config_id(cfg)}/{metric} at r={float(r)!r}: {exc}")
     return [
         CurveRecord(config_id(cfg), cfg.carrier_freq, cfg.n_elements, metric,
                     float(r), float(v), float(t))
@@ -201,16 +201,11 @@ def _config_job(cfg: ArrayConfig, spec: SweepSpec):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every (config, metric) curve and a boundary set per config.
 
-    Configurations are processed in parallel up to `worker_count()` workers;
-    the output ordering is fixed by (config order, metric order, range), so
-    results are identical for any worker count.
+    Configurations run through `metrics.parallel_map`, their kernel calls
+    inline on its workers; output order is fixed by (config order, metric
+    order, range), so results are identical for any worker count.
     """
-    workers = min(worker_count(), len(spec.configs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = list(pool.map(lambda cfg: _config_job(cfg, spec), spec.configs))
-    else:
-        jobs = [_config_job(cfg, spec) for cfg in spec.configs]
+    jobs = parallel_map(lambda cfg: _config_job(cfg, spec), spec.configs)
     curves: list[CurveRecord] = []
     boundaries: list[BoundaryRecord] = []
     errors: list[str] = []

@@ -168,6 +168,7 @@ def test_l2_certification_bound_properties(cfg300):
     assert l2_certification_bound(cfg300, 1e-4) > bound
 
 
+@pytest.mark.filterwarnings("error")
 def test_l2_certification_bound_refuses_an_overflowing_search(cfg300):
     # tiny but ordinary tolerances keep their bits
     assert l2_certification_bound(cfg300, 1e-100) == 3.1172453105262277e100

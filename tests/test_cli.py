@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -130,7 +131,7 @@ def test_curve_gap_marker_below_the_underflow_range(capsys):
     assert rows[0][5:] == ["nan", "nan"]
     assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row[4:])
     lines = err.splitlines()
-    assert len(lines) == 1 and "element 0" in lines[0]
+    assert len(lines) == 1 and "element 0" in lines[0] and "r=1e-170" in lines[0]
 
 
 def test_se_command_json(capsys):
@@ -283,6 +284,19 @@ def test_invalid_values_exit_2(capsys, tmp_path):
     assert code == 2 and "range_m" in err and "1e+160" in err
 
 
+def test_bad_thread_count_exits_2(capsys, monkeypatch):
+    # a one-block curve and a one-range query never use the pool, but every
+    # worst-case search reads the worker count
+    monkeypatch.setenv("NEARFIELD_THREADS", "junk")
+    for argv in (
+        ["curve", "--metric", "linf", "--freq-ghz", "28", "--elements", "4",
+         "--r-start", "1", "--r-stop", "10", "--r-points", "2"],
+        ["se", "--freq-ghz", "28", "--elements", "4", "--range-m", "3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and "NEARFIELD_THREADS must be an integer" in err and not out
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["boundaries", "--elements", "4"])  # missing --freq-ghz
@@ -316,6 +330,15 @@ def test_solver_failure_exits_3(capsys):
     )
     assert code == 3
     assert "solver error" in err and "inf m is not a finite horizon" in err
+    # a delta_2 whose certification search overflows r**2: the refusal is the
+    # only stderr line, with no numpy overflow warning ahead of it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            capsys, "boundaries", "--freq-ghz", "300", "--elements", "64", "--delta-2", "1e-200",
+        )
+    assert code == 3 and caught == []
+    assert len(err.splitlines()) == 1 and err.startswith("solver error: delta_2 1e-200")
     # delta_se = 1e-12 used to fail the heuristic trailing-decade check;
     # r_G (4.06e6 m) now bounds the scan instead
     code, out, _ = run_cli(

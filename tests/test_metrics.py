@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ from nearfield.metrics import (
     _golden_max_batch,
     e_l2_worst_batch,
     e_linf_worst_batch,
+    parallel_map,
     worker_count,
 )
+from nearfield.sweep import RangeGrid, SweepSpec, run_sweep
 
 RAYLEIGH_300_64 = 1.9845
 
@@ -302,6 +305,56 @@ def test_block_workers_see_the_callers_errstate(cfg1_2, monkeypatch):
     rs = np.geomspace(0.2, 300.0, 130)
     with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
         metrics.worst_over_angle_batch(cfg1_2, rs, AngleSearchPolicy(), dividing_grid)
+
+
+def test_a_map_inside_a_pool_task_runs_inline(monkeypatch):
+    real = metrics._block_pool
+    calls = []
+
+    def counting_pool(workers):
+        calls.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(metrics, "_block_pool", counting_pool)
+    monkeypatch.setenv("NEARFIELD_THREADS", "2")
+    out = parallel_map(lambda i: parallel_map(lambda j: (i, j), range(3)), range(2))
+    assert calls == [2]
+    assert out == [[(i, j) for j in range(3)] for i in range(2)]
+
+
+def test_the_first_failing_item_in_order_raises(monkeypatch):
+    def fail_two_and_four(i):
+        if i == 2:
+            time.sleep(0.05)  # let item 4 fail first on the pool
+        if i in (2, 4):
+            raise ValueError(f"item {i}")
+        return i
+
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NEARFIELD_THREADS", threads)
+        with pytest.raises(ValueError, match="item 2"):
+            parallel_map(fail_two_and_four, range(6))
+
+
+def test_a_sweep_computes_on_at_most_worker_count_threads(cfg1_2, cfg10_5, monkeypatch):
+    real = metrics._linf_grid
+    threads = set()
+
+    def recording_grid(cfg, r, cos_t):
+        threads.add(threading.get_ident())
+        return real(cfg, r, cos_t)
+
+    monkeypatch.setattr(metrics, "_linf_grid", recording_grid)
+    monkeypatch.setenv("NEARFIELD_THREADS", "2")
+    spec = SweepSpec(
+        configs=(cfg1_2, cfg10_5),
+        metrics=("linf",),
+        r_grid=RangeGrid(0.2, 300.0, 200),  # four blocks of up to 64 rows
+        angle_policy=AngleSearchPolicy(coarse_grid_points=181),
+        envelope_policy=EnvelopeSearchPolicy(points_per_decade=150),
+    )
+    run_sweep(spec)
+    assert 1 <= len(threads) <= worker_count()
 
 
 def test_block_pool_is_shared_across_calls(cfg1_2, monkeypatch):

@@ -161,7 +161,7 @@ def test_gap_markers_on_per_point_failures(cfg1_2, monkeypatch):
     rows, errors = sweep_mod.curve_records(cfg1_2, "linf", grid, spec)
     assert calls == [3, 1, 1, 1]
     assert len(errors) == 1 and "forced point failure" in errors[0]
-    assert f"r={grid[1]!r}" in errors[0]
+    assert f"r={float(grid[1])!r}" in errors[0]
     assert np.isnan(rows[1].value) and np.isnan(rows[1].theta_star_rad)
     assert [row.range_m for row in rows] == list(grid)
     # the surviving ranges carry the bits of a whole-grid evaluation
