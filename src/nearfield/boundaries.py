@@ -250,18 +250,10 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
         hi *= 2.0
         if math.isinf(hi * hi):  # r**2 overflows: h would read 0 and end the search
             raise HorizonExceededError(f"delta_2 {delta_2} needs ranges whose square overflows")
-    lo = hi / 2.0
-    if h(lo) < delta_2 and lo <= max(d_ap, cfg.spacing):
-        return lo
-    for _ in range(200):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = math.sqrt(lo * hi)
-        if h(mid) < delta_2:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # h(hi) < delta_2, and h(hi / 2) >= delta_2 unless hi is the start
+    return _last_crossing(
+        h, None, np.array([hi / 2.0, hi]), delta_2, 1e-12, f"search end {hi} m violates delta_2"
+    )
 
 
 def linf_mismatch_bound(cfg: ArrayConfig, delta_inf: float) -> float:
@@ -487,33 +479,22 @@ def boundary_set(
     sspf = sspf_distance(cfg, tol.delta_inf)
     spf = spf_distance(cfg, tol.delta_inf)
     epf = epf_distance(cfg, tol.delta_inf, envelope_policy)
-    opt_linf = optimal_radius(
-        lambda r: e_linf_worst(cfg, r, angle_policy).value,
-        tol.delta_inf,
-        envelope_policy,
-        r_min=r_min,
-        analytic_bound=spf,
-        proven_bound=linf_mismatch_bound(cfg, tol.delta_inf),
-        batch_metric=lambda rs: e_linf_worst_batch(cfg, rs, angle_policy)[0],
-    )
-    opt_l2 = optimal_radius(
-        lambda r: e_l2_worst(cfg, r, angle_policy).value,
-        tol.delta_2,
-        envelope_policy,
-        r_min=r_min,
-        analytic_bound=l2_certification_bound(cfg, tol.delta_2),
-        proven_bound=l2_mismatch_bound(cfg, tol.delta_2),
-        batch_metric=lambda rs: e_l2_worst_batch(cfg, rs, angle_policy)[0],
-    )
-    opt_se = optimal_radius(
-        lambda r: se_loss_worst(cfg, r, budget, angle_policy).value,
-        tol.delta_se,
-        envelope_policy,
-        r_min=r_min,
-        heuristic_horizon=max(rayleigh, sspf),
-        proven_bound=se_gain_bound(cfg, tol.delta_se, budget),
-        batch_metric=lambda rs: se_loss_worst_batch(cfg, rs, budget, angle_policy)[0],
-    )
+
+    def solve(point, batch, args, delta, **bounds):
+        # the kernels are this module's globals read per call: wrapped names take effect
+        return optimal_radius(
+            lambda r: point(cfg, r, *args).value, delta, envelope_policy, r_min=r_min,
+            batch_metric=lambda rs: batch(cfg, rs, *args)[0], **bounds,
+        )
+
+    opt_linf = solve(e_linf_worst, e_linf_worst_batch, (angle_policy,), tol.delta_inf,
+                     analytic_bound=spf, proven_bound=linf_mismatch_bound(cfg, tol.delta_inf))
+    opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2,
+                   analytic_bound=l2_certification_bound(cfg, tol.delta_2),
+                   proven_bound=l2_mismatch_bound(cfg, tol.delta_2))
+    opt_se = solve(se_loss_worst, se_loss_worst_batch, (budget, angle_policy), tol.delta_se,
+                   heuristic_horizon=max(rayleigh, sspf),
+                   proven_bound=se_gain_bound(cfg, tol.delta_se, budget))
     return BoundarySet(
         rayleigh=rayleigh,
         epf=epf,

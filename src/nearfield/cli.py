@@ -17,13 +17,12 @@ from .boundaries import (
     boundary_set,
 )
 from .link import LinkBudget, DEFAULT_BUDGET, nmse_lower_bound, se_loss, se_loss_worst
-from .metrics import THETA_OPEN_MIN, AngleSearchPolicy
+from .metrics import THETA_OPEN_MIN, AngleSearchPolicy, worker_count
 from .sweep import (
     METRIC_NAMES,
     PRESET_NAMES,
     REFERENCE_RADII,
     RangeGrid,
-    SweepSpec,
     boundary_csv_lines,
     config_id,
     curve_csv_lines,
@@ -202,15 +201,11 @@ def cmd_boundaries(args) -> int:
 def cmd_curve(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     cfg = _array_from(args, file_cfg)
-    spec = SweepSpec(
-        configs=(cfg,),
-        metrics=(args.metric,),
-        r_grid=RangeGrid(args.r_start, args.r_stop, args.r_points),
-        budget=_budget_from(args, file_cfg),
-        angle_policy=_angle_policy_from(args, file_cfg),
-    )
+    grid = RangeGrid(args.r_start, args.r_stop, args.r_points).values()
     # curve output needs no transition radii: evaluate the grid directly
-    records, errors = curve_records(cfg, args.metric, spec.r_grid.values(), spec)
+    records, errors = curve_records(
+        cfg, args.metric, grid, _budget_from(args, file_cfg), _angle_policy_from(args, file_cfg)
+    )
     for message in errors:
         print(message, file=sys.stderr)
     lines = curve_csv_lines(records)
@@ -357,6 +352,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        worker_count()  # reject a bad NEARFIELD_THREADS before any command runs
         return args.func(args)
     # DegenerateGeometryError is a ValueError, so the solver errors go first
     except (HorizonExceededError, DegenerateGeometryError, ArithmeticError) as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os  # noqa: F401  (tests fake the core count through sweep.os)
 from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
@@ -33,7 +32,6 @@ from .metrics import (  # noqa: F401
     e_linf_worst,
     e_linf_worst_batch,
     parallel_map,
-    worker_count,  # tests read it through this module
 )
 
 METRIC_NAMES = ("linf", "l2", "se")
@@ -82,11 +80,10 @@ class RangeGrid:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One batch job: configurations x metrics on a shared or per-config grid."""
+    """One batch job: configurations x metrics, each on a grid from its own radii."""
 
     configs: tuple[ArrayConfig, ...]
     metrics: tuple[str, ...] = METRIC_NAMES
-    r_grid: RangeGrid | None = None
     auto_grid_points: int = 400
     tolerances: Tolerances = field(default_factory=Tolerances)
     budget: LinkBudget = DEFAULT_BUDGET
@@ -138,7 +135,7 @@ def config_id(cfg: ArrayConfig) -> str:
 
 
 def curve_records(
-    cfg: ArrayConfig, metric: str, grid: np.ndarray, spec: SweepSpec
+    cfg: ArrayConfig, metric: str, grid: np.ndarray, budget: LinkBudget, policy: AngleSearchPolicy
 ) -> tuple[list[CurveRecord], list[str]]:
     """Worst-case curve rows of one metric on a range grid, and per-point errors.
 
@@ -148,9 +145,9 @@ def curve_records(
     """
     # module globals, looked up per call, so wrapped names take effect
     batch = {
-        "linf": lambda rs: e_linf_worst_batch(cfg, rs, spec.angle_policy),
-        "l2": lambda rs: e_l2_worst_batch(cfg, rs, spec.angle_policy),
-        "se": lambda rs: se_loss_worst_batch(cfg, rs, spec.budget, spec.angle_policy),
+        "linf": lambda rs: e_linf_worst_batch(cfg, rs, policy),
+        "l2": lambda rs: e_l2_worst_batch(cfg, rs, policy),
+        "se": lambda rs: se_loss_worst_batch(cfg, rs, budget, policy),
     }[metric]
     errors = []
     try:
@@ -173,10 +170,7 @@ def curve_records(
 
 def _config_job(cfg: ArrayConfig, spec: SweepSpec):
     cid = config_id(cfg)
-    curves: list[CurveRecord] = []
-    errors: list[str] = []
     boundary: BoundaryRecord | None = None
-    grid = None if spec.r_grid is None else spec.r_grid.values()
     try:
         bounds = boundary_set(
             cfg, spec.tolerances, spec.budget, spec.angle_policy, spec.envelope_policy
@@ -184,17 +178,17 @@ def _config_job(cfg: ArrayConfig, spec: SweepSpec):
         boundary = BoundaryRecord(
             config_id=cid, freq_hz=cfg.carrier_freq, n_elements=cfg.n_elements, bounds=bounds
         )
-        if grid is None:
-            r_min = resolve_r_min(cfg, spec.envelope_policy)
-            top = max(bounds.rayleigh, bounds.epf, bounds.spf, bounds.sspf, r_min)
-            grid = RangeGrid(r_min, 10.0 * top, spec.auto_grid_points).values()
+        r_min = resolve_r_min(cfg, spec.envelope_policy)
+        top = max(bounds.rayleigh, bounds.epf, bounds.spf, bounds.sspf, r_min)
+        grid = RangeGrid(r_min, 10.0 * top, spec.auto_grid_points).values()
     except Exception as exc:  # keep other configs alive; surface the failure
-        errors.append(f"{cid}: {type(exc).__name__}: {exc}")
-    if grid is not None:
-        for metric in spec.metrics:
-            rows, point_errors = curve_records(cfg, metric, grid, spec)
-            curves.extend(rows)
-            errors.extend(point_errors)
+        return [], boundary, [f"{cid}: {type(exc).__name__}: {exc}"]
+    curves: list[CurveRecord] = []
+    errors: list[str] = []
+    for metric in spec.metrics:
+        rows, point_errors = curve_records(cfg, metric, grid, spec.budget, spec.angle_policy)
+        curves.extend(rows)
+        errors.extend(point_errors)
     return curves, boundary, errors
 
 
@@ -238,12 +232,10 @@ def curve_csv_lines(curves: Iterable[CurveRecord]) -> list[str]:
 def boundary_csv_lines(records: Iterable[BoundaryRecord]) -> list[str]:
     lines = [BOUNDARY_HEADER]
     for rec in records:
-        b = rec.bounds
+        radii = ",".join(_fmt(v) for v in radius_columns(rec.bounds).values())
         lines.append(
-            f"{rec.config_id},{_fmt(rec.freq_hz)},{rec.n_elements},"
-            f"{_fmt(b.rayleigh)},{_fmt(b.epf)},{_fmt(b.spf)},{_fmt(b.sspf)},"
-            f"{_fmt(b.opt_linf)},{_fmt(b.opt_l2)},{_fmt(b.opt_se)},"
-            f"{_bool(b.opt_se_certified)}"
+            f"{rec.config_id},{_fmt(rec.freq_hz)},{rec.n_elements},{radii},"
+            f"{_bool(rec.bounds.opt_se_certified)}"
         )
     return lines
 

@@ -168,6 +168,22 @@ def test_l2_certification_bound_properties(cfg300):
     assert l2_certification_bound(cfg300, 1e-4) > bound
 
 
+@pytest.mark.parametrize(
+    "freq_ghz, n_elements, delta_2, expected",
+    [
+        (300, 64, 1e-3, 3117.2769693605255),
+        (28, 4, 1e-3, 75.75259575015023),
+        (1, 2, 0.5, 0.6281437582441763),
+        (28, 4, 1e3, 0.008035714285714285),  # no doubling: the start's half
+        (10, 5, 1e-9, 376991118.49571687),
+        (300, 10, 0.37, 0.1764816848942789),
+    ],
+)
+def test_l2_certification_bound_keeps_its_bits(freq_ghz, n_elements, delta_2, expected):
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    assert repr(l2_certification_bound(cfg, delta_2)) == repr(expected)
+
+
 @pytest.mark.filterwarnings("error")
 def test_l2_certification_bound_refuses_an_overflowing_search(cfg300):
     # tiny but ordinary tolerances keep their bits

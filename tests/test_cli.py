@@ -285,13 +285,16 @@ def test_invalid_values_exit_2(capsys, tmp_path):
 
 
 def test_bad_thread_count_exits_2(capsys, monkeypatch):
-    # a one-block curve and a one-range query never use the pool, but every
-    # worst-case search reads the worker count
+    # the worker count is checked once after parsing, so commands that never
+    # reach the pool (a fixed angle, one element) reject it as well
     monkeypatch.setenv("NEARFIELD_THREADS", "junk")
     for argv in (
         ["curve", "--metric", "linf", "--freq-ghz", "28", "--elements", "4",
          "--r-start", "1", "--r-stop", "10", "--r-points", "2"],
         ["se", "--freq-ghz", "28", "--elements", "4", "--range-m", "3"],
+        ["se", "--freq-ghz", "28", "--elements", "4", "--range-m", "3", "--theta-deg", "3"],
+        ["se", "--freq-ghz", "28", "--elements", "1", "--range-m", "3"],
+        ["boundaries", "--freq-ghz", "28", "--elements", "1"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "NEARFIELD_THREADS must be an integer" in err and not out

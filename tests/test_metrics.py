@@ -33,7 +33,7 @@ from nearfield.metrics import (
     parallel_map,
     worker_count,
 )
-from nearfield.sweep import RangeGrid, SweepSpec, run_sweep
+from nearfield.sweep import SweepSpec, run_sweep
 
 RAYLEIGH_300_64 = 1.9845
 
@@ -349,7 +349,7 @@ def test_a_sweep_computes_on_at_most_worker_count_threads(cfg1_2, cfg10_5, monke
     spec = SweepSpec(
         configs=(cfg1_2, cfg10_5),
         metrics=("linf",),
-        r_grid=RangeGrid(0.2, 300.0, 200),  # four blocks of up to 64 rows
+        auto_grid_points=200,  # four blocks of up to 64 rows
         angle_policy=AngleSearchPolicy(coarse_grid_points=181),
         envelope_policy=EnvelopeSearchPolicy(points_per_decade=150),
     )

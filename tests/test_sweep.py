@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+import nearfield.metrics as metrics_mod
 import nearfield.sweep as sweep_mod
-from nearfield import AngleSearchPolicy, ArrayConfig, DegenerateGeometryError, EnvelopeSearchPolicy
+from nearfield import (
+    AngleSearchPolicy,
+    ArrayConfig,
+    DegenerateGeometryError,
+    EnvelopeSearchPolicy,
+    resolve_r_min,
+)
+from nearfield.link import DEFAULT_BUDGET
+from nearfield.metrics import worker_count
 from nearfield.sweep import (
     BOUNDARY_HEADER,
     CURVE_HEADER,
@@ -13,19 +22,17 @@ from nearfield.sweep import (
     curve_csv_lines,
     preset,
     run_sweep,
-    worker_count,
 )
 
 FAST_ANGLES = AngleSearchPolicy(coarse_grid_points=181)
 FAST_ENVELOPE = EnvelopeSearchPolicy(points_per_decade=150)
 
 
-def fast_spec(configs, metrics, r_grid=None):
+def fast_spec(configs, metrics, points=25):
     return SweepSpec(
         configs=tuple(configs),
         metrics=tuple(metrics),
-        r_grid=r_grid,
-        auto_grid_points=25,
+        auto_grid_points=points,
         angle_policy=FAST_ANGLES,
         envelope_policy=FAST_ENVELOPE,
     )
@@ -64,13 +71,13 @@ def test_worker_count(monkeypatch):
     monkeypatch.setenv("NEARFIELD_THREADS", "3")
     assert worker_count() == 3
     # auto mode counts the cores this process may run on, not all of them
-    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
-    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(metrics_mod.os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+    monkeypatch.setattr(metrics_mod.os, "cpu_count", lambda: 8)
     monkeypatch.setenv("NEARFIELD_THREADS", "0")
     assert worker_count() == 2
     monkeypatch.delenv("NEARFIELD_THREADS")
     assert worker_count() == 2
-    monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
+    monkeypatch.delattr(metrics_mod.os, "sched_getaffinity")
     assert worker_count() == 8
     monkeypatch.setenv("NEARFIELD_THREADS", "junk")
     with pytest.raises(ValueError):
@@ -89,15 +96,16 @@ def test_empty_metrics_yields_boundaries_only(cfg1_2):
 
 
 def test_single_point_grid_one_record_per_curve(cfg1_2, cfg10_5):
-    spec = fast_spec([cfg1_2, cfg10_5], ["linf", "l2"], RangeGrid(2.0, 2.0, 1))
+    spec = fast_spec([cfg1_2, cfg10_5], ["linf", "l2"], points=1)
     result = run_sweep(spec)
     assert len(result.curves) == 4  # one point per (config, metric)
+    starts = {config_id(c): resolve_r_min(c, FAST_ENVELOPE) for c in (cfg1_2, cfg10_5)}
     for record in result.curves:
-        assert record.range_m == 2.0
+        assert record.range_m == starts[record.config_id]
 
 
 def test_curves_sorted_and_increasing(cfg1_2):
-    spec = fast_spec([cfg1_2], ["linf", "se"], RangeGrid(0.5, 50.0, 9))
+    spec = fast_spec([cfg1_2], ["linf", "se"], points=9)
     result = run_sweep(spec)
     assert len(result.curves) == 18
     linf = [c for c in result.curves if c.metric == "linf"]
@@ -117,7 +125,7 @@ def test_curve_never_again_against_own_samples(cfg10_5):
 
 
 def test_determinism_same_spec_and_thread_count(cfg1_2, cfg10_5, monkeypatch):
-    spec = fast_spec([cfg1_2, cfg10_5], ["linf"], RangeGrid(0.5, 30.0, 7))
+    spec = fast_spec([cfg1_2, cfg10_5], ["linf"], points=7)
     monkeypatch.setenv("NEARFIELD_THREADS", "1")
     first = run_sweep(spec)
     monkeypatch.setenv("NEARFIELD_THREADS", "4")
@@ -127,7 +135,7 @@ def test_determinism_same_spec_and_thread_count(cfg1_2, cfg10_5, monkeypatch):
 
 
 def test_csv_format(cfg1_2):
-    spec = fast_spec([cfg1_2], ["linf"], RangeGrid(1.0, 2.0, 2))
+    spec = fast_spec([cfg1_2], ["linf"], points=2)
     result = run_sweep(spec)
     lines = curve_csv_lines(result.curves)
     assert lines[0] == CURVE_HEADER
@@ -136,7 +144,7 @@ def test_csv_format(cfg1_2):
     assert fields[1] == "1000000000"
     assert fields[2] == "2"
     assert fields[3] == "linf"
-    assert float(fields[4]) == 1.0
+    assert float(fields[4]) == resolve_r_min(cfg1_2, FAST_ENVELOPE)
     blines = boundary_csv_lines(result.boundaries)
     assert blines[0] == BOUNDARY_HEADER
     assert blines[1].split(",")[-1] in ("true", "false")
@@ -156,9 +164,8 @@ def test_gap_markers_on_per_point_failures(cfg1_2, monkeypatch):
         return real(cfg, rs, policy)
 
     monkeypatch.setattr(sweep_mod, "e_linf_worst_batch", flaky_batch)
-    spec = fast_spec([cfg1_2], ["linf"], RangeGrid(1.0, 3.0, 3))
-    grid = spec.r_grid.values()
-    rows, errors = sweep_mod.curve_records(cfg1_2, "linf", grid, spec)
+    grid = RangeGrid(1.0, 3.0, 3).values()
+    rows, errors = sweep_mod.curve_records(cfg1_2, "linf", grid, DEFAULT_BUDGET, FAST_ANGLES)
     assert calls == [3, 1, 1, 1]
     assert len(errors) == 1 and "forced point failure" in errors[0]
     assert f"r={float(grid[1])!r}" in errors[0]
@@ -184,13 +191,13 @@ def test_config_failure_does_not_abort_others(cfg1_2, monkeypatch):
         return real(cfg, *args, **kwargs)
 
     monkeypatch.setattr(sweep_mod, "boundary_set", failing_boundary_set)
-    spec = fast_spec([good, bad], ["linf"], RangeGrid(1.0, 2.0, 2))
+    spec = fast_spec([good, bad], ["linf"], points=2)
     result = run_sweep(spec)
     assert len(result.boundaries) == 1
     assert result.boundaries[0].config_id == config_id(good)
     assert any("forced config failure" in e for e in result.errors)
-    # the failed config still produced curve rows from the explicit grid
-    assert {c.config_id for c in result.curves} == {config_id(good), config_id(bad)}
+    # a config's grid is laid from its radii, so the failed config yields no curve rows
+    assert {c.config_id for c in result.curves} == {config_id(good)}
 
 
 def test_presets():
