@@ -13,6 +13,7 @@ from .arrays import ArrayConfig, require_finite, require_whole
 from .link import DEFAULT_BUDGET, LinkBudget, se_loss_worst, se_loss_worst_batch
 from .metrics import (
     AngleSearchPolicy,
+    block_rows,
     e_l2_worst,
     e_l2_worst_batch,
     e_linf_worst,
@@ -20,10 +21,10 @@ from .metrics import (
 )
 
 
-# Ranges per evaluation chunk of the last-crossing scan.  Chunk starts are
-# multiples of it counted from grid[0], so the worst-case kernels (64-row
-# blocks below 44 elements at the default angle density) group rows exactly as
-# one whole-grid call would, and a row's value does not depend on the scan.
+# Ranges per chunk of the last-crossing scan, counted from grid[0].  Scan
+# windows start on a kernel block boundary of their chunk and never cross a
+# chunk start, so each row keeps the bits of a whole-chunk call (below 44
+# elements at the default angle density, of a whole-grid call too).
 _SCAN_CHUNK = 256
 
 # The uncertified (SE) search builds its grid up to MAX_SCAN_FACTOR times its
@@ -115,7 +116,7 @@ class OptimalRadius:
 
     A search on the analytic grid reads certified=True.  In boundary_set a
     proven bound (linf_mismatch_bound, l2_mismatch_bound) rules out every
-    violation above the chunks it scans; the grid's end at twice the
+    violation above the windows it scans; the grid's end at twice the
     analytic bound only fixes where the grid points sit.  A search on the
     heuristic grid reads certified=False even when a proven bound
     (se_gain_bound for SE) bounds its scan: its grid still ends at the
@@ -331,41 +332,53 @@ def _last_crossing(
     horizon_message: str,
     trailing: tuple[float, float, str] | None = None,
     proven_bound: float | None = None,
+    *,
+    block: int = _SCAN_CHUNK,
 ) -> float:
     """Range past the last grid point where the metric reaches delta, bisected
     with the scalar metric to bisection_tol (relative) inside the cell after
     it; the scan start grid[0] when no grid point violates.  NaN/inf values
     count as violations.
 
-    The grid is evaluated from the horizon downward, _SCAN_CHUNK ranges at a
-    time (metric mapped over the chunk when batch_metric is None), and the
-    scan stops at the first chunk that holds a violation: nothing below it can
-    move the last crossing.  `trailing`, as (r_from, limit, message) with
-    limit <= delta, requires every grid point at or beyond r_from to lie
-    below limit, raising HorizonExceededError(message) otherwise; the
-    violation check that may stop the scan comes after it in each chunk.
-    `proven_bound`, a range beyond which the metric provably stays below
-    delta, starts the scan at the chunk holding the last grid point at or
-    below it: the chunks above it are never evaluated.
+    The scan starts at the last candidate, the last grid point at or below
+    `proven_bound` (a range beyond which the metric provably stays below
+    delta), else the horizon.  It evaluates windows downward from there
+    (metric mapped over a window when batch_metric is None) and stops at the
+    first that holds a violation: nothing below it can move the last
+    crossing.  The first window is the block of `block` ranges that holds
+    the candidate, each later one has twice as many blocks; blocks are
+    counted from each _SCAN_CHUNK start and no window crosses one.
+    `trailing`, as (r_from, limit, message) with limit <= delta, requires
+    every grid point at or beyond r_from to lie below limit, raising
+    HorizonExceededError(message) otherwise; it scans whole chunks, each
+    checked before its violations.
     """
     last_candidate = len(grid) - 1
     if proven_bound is not None:
         last_candidate = max(int(np.searchsorted(grid, proven_bound, side="right")) - 1, 0)
-    top = last_candidate // _SCAN_CHUNK * _SCAN_CHUNK
-    for start in range(top, -1, -_SCAN_CHUNK):
-        chunk = grid[start : start + _SCAN_CHUNK]
+    if trailing is not None:
+        block = _SCAN_CHUNK
+    chunk = last_candidate // _SCAN_CHUNK * _SCAN_CHUNK
+    block_end = last_candidate - (last_candidate - chunk) % block + block
+    hi = min(block_end, chunk + _SCAN_CHUNK, len(grid))
+    blocks = 1
+    while hi > 0:
+        chunk = (hi - 1) // _SCAN_CHUNK * _SCAN_CHUNK
+        lo = chunk + max((hi - chunk + block - 1) // block - blocks, 0) * block
+        window = grid[lo:hi]
         if batch_metric is None:
-            values = np.array([metric(float(r)) for r in chunk])
+            values = np.array([metric(float(r)) for r in window])
         else:
-            values = np.asarray(batch_metric(chunk), dtype=float)
+            values = np.asarray(batch_metric(window), dtype=float)
         if trailing is not None:
             r_from, limit, message = trailing
-            if np.any(~(values[chunk >= r_from] < limit)):
+            if np.any(~(values[window >= r_from] < limit)):
                 raise HorizonExceededError(message)
         violating = np.flatnonzero(~(values < delta))
         if violating.size:
-            last = start + int(violating[-1])
+            last = lo + int(violating[-1])
             break
+        hi, blocks = lo, 2 * blocks
     else:
         return float(grid[0])
     if last == len(grid) - 1:
@@ -390,6 +403,7 @@ def optimal_radius(
     heuristic_horizon: float | None = None,
     proven_bound: float | None = None,
     batch_metric: Callable[[np.ndarray], np.ndarray] | None = None,
+    block: int = _SCAN_CHUNK,
 ) -> OptimalRadius:
     """Smallest radius beyond which metric(r) stays strictly below delta.
 
@@ -403,11 +417,17 @@ def optimal_radius(
     heuristic_horizon, its trailing decade must sit below delta *
     CERTIFICATION_MARGIN, and the result is not certified.  `proven_bound`,
     a range beyond which the metric provably stays below delta, replaces
-    that trailing check: the scan skips every chunk above the bound, and the
-    grid ends at the bound instead when the bound lies beyond its horizon.
-    Returns r_min when no scanned point violates the tolerance.
+    that trailing check: the scan starts at the grid point at or below the
+    bound, and the grid ends at the bound instead when the bound lies beyond
+    its horizon.  `block`, the batch metric's kernel block
+    (metrics.block_rows), lets the scan evaluate windows of 1, 2, 4, ...
+    whole blocks; the default, like the trailing check, scans whole
+    _SCAN_CHUNK chunks.  Returns r_min when no scanned point violates the
+    tolerance.
     """
     _require_tolerance("delta", delta)
+    if not (isinstance(block, int) and block >= 1):
+        raise ValueError(f"block must be a positive integer, got {block!r}")
     policy = policy or EnvelopeSearchPolicy()
     trailing = None
     if analytic_bound is not None:
@@ -436,6 +456,7 @@ def optimal_radius(
         f"tolerance {delta} still violated at the scan horizon {horizon:.6g} m",
         trailing,
         proven_bound,
+        block=block,
     )
     return OptimalRadius(radius=radius, certified=certified)
 
@@ -449,9 +470,9 @@ def boundary_set(
 ) -> BoundarySet:
     """All seven transition radii for one configuration.
 
-    The opt_linf and opt_l2 scans skip every grid chunk above
-    linf_mismatch_bound and l2_mismatch_bound, and the SE scan every chunk
-    above se_gain_bound.  The grids still end at twice spf and twice
+    The opt_linf and opt_l2 scans start at linf_mismatch_bound and
+    l2_mismatch_bound, and the SE scan at se_gain_bound, in windows of whole
+    kernel blocks.  The grids still end at twice spf and twice
     l2_certification_bound (at the heuristic horizon for SE), or at the
     proven bound where that lies beyond; that end only fixes where the grid
     points sit.
@@ -484,7 +505,8 @@ def boundary_set(
         # the kernels are this module's globals read per call: wrapped names take effect
         return optimal_radius(
             lambda r: point(cfg, r, *args).value, delta, envelope_policy, r_min=r_min,
-            batch_metric=lambda rs: batch(cfg, rs, *args)[0], **bounds,
+            batch_metric=lambda rs: batch(cfg, rs, *args)[0],
+            block=block_rows(cfg, angle_policy), **bounds,
         )
 
     opt_linf = solve(e_linf_worst, e_linf_worst_batch, (angle_policy,), tol.delta_inf,

@@ -8,6 +8,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,11 +254,21 @@ def _golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: i
     return np.where(take_c, c, d), np.where(take_c, yc, yd)
 
 
+@lru_cache(maxsize=16)
 def _angle_grid(policy: AngleSearchPolicy) -> np.ndarray:
     grid = np.linspace(THETA_INSET, math.pi - THETA_INSET, policy.coarse_grid_points)
     # both mismatch regimes must be seeded: the phase gap peaks near pi/2, the
     # amplitude gap near the interval ends, and the maximizer switches with range
-    return np.union1d(grid, [THETA_INSET, 0.5 * math.pi, math.pi - THETA_INSET])
+    grid = np.union1d(grid, [THETA_INSET, 0.5 * math.pi, math.pi - THETA_INSET])
+    grid.flags.writeable = False  # shared by every call with this policy
+    return grid
+
+
+def block_rows(cfg: ArrayConfig, policy: AngleSearchPolicy) -> int:
+    """Rows per kernel block: worst_over_angle_batch splits its ranges into
+    blocks of this many from the first, and a row's bits depend on the rows
+    that share its block."""
+    return max(1, min(64, _BLOCK_BUDGET // (len(_angle_grid(policy)) * cfg.n_elements)))
 
 
 def _clamped_cos(theta: np.ndarray) -> np.ndarray:
@@ -288,8 +299,7 @@ def worst_over_angle_batch(
     thetas = _angle_grid(policy)
     cos_row = _clamped_cos(thetas)[None, :]
     n_t = len(thetas)
-    # the refinement's bits depend on which rows share a block: keep this fixed
-    block = max(1, min(64, _BLOCK_BUDGET // (n_t * cfg.n_elements)))
+    block = block_rows(cfg, policy)
     slab = max(_SLAB_MIN_ROWS, _SLAB_BUDGET // (n_t * cfg.n_elements))
     values = np.empty_like(r_values)
     theta_stars = np.empty_like(r_values)

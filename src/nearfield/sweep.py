@@ -96,6 +96,9 @@ class SweepSpec:
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metrics {unknown}; choose from {METRIC_NAMES}")
+        if not math.isfinite(self.auto_grid_points):
+            raise ValueError(f"auto_grid_points must be finite, got {self.auto_grid_points}")
+        require_whole(self, "auto_grid_points")
         if self.auto_grid_points < 1:
             raise ValueError("auto_grid_points must be positive")
 

@@ -29,9 +29,9 @@ from nearfield import (
     sspf_distance,
 )
 from nearfield import boundaries
-from nearfield.boundaries import _SCAN_CHUNK, MAX_SCAN_FACTOR, _log_grid
+from nearfield.boundaries import _SCAN_CHUNK, MAX_SCAN_FACTOR, _last_crossing, _log_grid
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst_batch
-from nearfield.metrics import e_l2_worst_batch, e_linf_worst_batch
+from nearfield.metrics import block_rows, e_l2_worst_batch, e_linf_worst_batch
 
 FAST_ANGLES = AngleSearchPolicy(coarse_grid_points=241)
 FAST_ENVELOPE = EnvelopeSearchPolicy(points_per_decade=300)
@@ -254,8 +254,8 @@ def test_high_snr_se_radius_found_below_the_gain_bound():
 
 def test_flagship_se_scan_stops_at_the_gain_bound(cfg300, monkeypatch):
     """The flagship's SE radius (0.969 m) lies far below its heuristic horizon
-    (5,597 m).  r_G = 1.021 m confines the scan to the chunks around it; the
-    whole heuristic grid cost 7,685 ranges."""
+    (5,597 m).  r_G = 1.021 m confines the scan to the kernel blocks below it:
+    one 43-row block, then two; the whole heuristic grid cost 7,685 ranges."""
     seen = []
     real = boundaries.se_loss_worst_batch
 
@@ -265,7 +265,7 @@ def test_flagship_se_scan_stops_at_the_gain_bound(cfg300, monkeypatch):
 
     monkeypatch.setattr(boundaries, "se_loss_worst_batch", counting)
     bounds = boundary_set(cfg300)
-    assert 0 < sum(seen) <= 2 * _SCAN_CHUNK
+    assert 0 < sum(seen) <= 3 * 43
     assert bounds.opt_se == pytest.approx(0.969368176382184, rel=1e-9)
     assert not bounds.opt_se_certified
 
@@ -342,9 +342,10 @@ def test_majorants_dominate_the_worst_case_kernels(freq_ghz, n_elements, depth):
 
 
 def test_flagship_linf_l2_scans_stop_at_the_majorants(cfg300, monkeypatch):
-    """r_inf = 56.15 m and r_2 = 1,429 m lie in the grid chunks that hold
-    opt_linf (55.83 m) and opt_l2 (1,410.6 m), so each scan evaluates one
-    chunk; from twice the Taylor bounds down they cost 701 and 1,378 ranges."""
+    """r_inf = 56.15 m and r_2 = 1,429 m lie in the 43-row kernel blocks that
+    hold opt_linf (55.83 m) and opt_l2 (1,410.6 m), so each scan evaluates
+    one block; from twice the Taylor bounds down they cost 701 and 1,378
+    ranges."""
     seen = {}
     for name in ("e_linf_worst_batch", "e_l2_worst_batch"):
         real = getattr(boundaries, name)
@@ -357,7 +358,7 @@ def test_flagship_linf_l2_scans_stop_at_the_majorants(cfg300, monkeypatch):
         monkeypatch.setattr(boundaries, name, counting)
     bounds = boundary_set(cfg300)
     for counts in seen.values():
-        assert 0 < sum(counts) <= _SCAN_CHUNK
+        assert 0 < sum(counts) <= 43
     assert bounds.opt_linf == 55.82867055805448 and bounds.opt_l2 == 1410.60128533603
     assert bounds.opt_linf_certified and bounds.opt_l2_certified
 
@@ -379,6 +380,12 @@ def test_optimal_radius_trivial_tolerance(cfg10_5):
 def test_optimal_radius_rejects_bad_tolerance(cfg10_5):
     with pytest.raises(ValueError):
         optimal_radius(lambda r: 0.0, 0.0, FAST_ENVELOPE, r_min=1.0, analytic_bound=2.0)
+
+
+@pytest.mark.parametrize("block", [0, -43, 43.0])
+def test_optimal_radius_rejects_a_bad_block(block):
+    with pytest.raises(ValueError, match="^block must be a positive integer"):
+        optimal_radius(lambda r: 0.0, 1.0, r_min=1.0, analytic_bound=2.0, block=block)
 
 
 def test_optimal_radius_horizon_exceeded():
@@ -476,9 +483,11 @@ def _step_metric(cross: float, high: float = 1.0):
     return (lambda r: high if r <= cross else 0.0), batch, seen
 
 
-def _solve(metric, batch, **bound):
+def _solve(metric, batch, block=_SCAN_CHUNK, **bound):
     bound = bound or {"analytic_bound": 50.0}
-    return optimal_radius(metric, 0.5, ENGINE_POLICY, r_min=1.0, batch_metric=batch, **bound)
+    return optimal_radius(
+        metric, 0.5, ENGINE_POLICY, r_min=1.0, batch_metric=batch, block=block, **bound
+    )
 
 
 @pytest.mark.parametrize(
@@ -622,6 +631,90 @@ def test_last_crossing_maps_a_scalar_metric():
     assert len(calls) < len(ENGINE_GRID)
 
 
+def _windows_of(batch, calls):
+    """Wrap a batch metric on ENGINE_GRID so each call is recorded as its
+    (first, end) grid indices."""
+
+    def recording(rs):
+        first = int(np.searchsorted(ENGINE_GRID, rs[0]))
+        assert np.array_equal(rs, ENGINE_GRID[first : first + len(rs)])
+        calls.append((first, first + len(rs)))
+        return batch(rs)
+
+    return recording
+
+
+def _check_windows(calls, block, last_candidate, n=len(ENGINE_GRID)):
+    """The windows of a scan with kernel block `block`: the first is the one
+    block that holds the last candidate; each later one lies right below the
+    one before, starts on a block boundary counted from its chunk start and
+    holds 2^i blocks, fewer only where it meets its chunk start."""
+    top = last_candidate // _SCAN_CHUNK * _SCAN_CHUNK
+    first = top + (last_candidate - top) // block * block
+    assert calls[0] == (first, min(first + block, top + _SCAN_CHUNK, n))
+    for i, (lo, hi) in enumerate(calls):
+        chunk = lo // _SCAN_CHUNK * _SCAN_CHUNK
+        assert (lo - chunk) % block == 0 and hi - chunk <= _SCAN_CHUNK
+        assert (hi - chunk) % block == 0 or hi in (chunk + _SCAN_CHUNK, n)
+        if i:
+            assert hi == calls[i - 1][0]
+            blocks = -(-(hi - lo) // block)
+            assert blocks == 2**i or (lo == chunk and blocks < 2**i)
+
+
+WINDOW_BLOCKS = [1, 7, 43, 64, 256]
+
+
+@pytest.mark.parametrize("block", WINDOW_BLOCKS)
+def test_last_crossing_windows_follow_the_kernel_blocks(block):
+    """Windows of whole blocks from the last candidate down find the radius
+    of the full scan: violations at a block's first and last index, at a
+    chunk's first and last index, only at grid[0], nowhere and as NaN, with
+    the last candidate at the horizon or at a proven bound of 30 m (index
+    597)."""
+    edge = _SCAN_CHUNK + 100 // block * block
+    lasts = [edge, edge - 1, 2 * _SCAN_CHUNK, 2 * _SCAN_CHUNK - 1, 0, None]
+    for bound in ({"analytic_bound": 50.0}, {"analytic_bound": 50.0, "proven_bound": 30.0}):
+        candidate = len(ENGINE_GRID) - 1
+        if "proven_bound" in bound:
+            candidate = int(np.searchsorted(ENGINE_GRID, 30.0, side="right")) - 1
+        for last in lasts:
+            for high in (1.0, math.nan):
+                cross = 0.5 if last is None else float(ENGINE_GRID[last])
+                metric, step, _ = _step_metric(cross, high)
+                calls = []
+                res = _solve(metric, _windows_of(step, calls), block, **bound)
+                full = oracles.optimal_radius_full_scan(metric, step, 0.5, ENGINE_POLICY, 1.0,
+                                                        **bound)
+                assert res.radius == full, (block, bound, last, high)
+                _check_windows(calls, block, candidate)
+                # the scan stops at the window that holds the last violation
+                lo, hi = calls[-1]
+                assert lo <= last < hi if last is not None else lo == 0
+
+
+@pytest.mark.parametrize("block", WINDOW_BLOCKS)
+def test_last_crossing_windows_at_the_horizon(block):
+    metric, step, _ = _step_metric(float(ENGINE_GRID[-1]))
+    calls = []
+    with pytest.raises(HorizonExceededError, match="scan horizon 100 m$"):
+        _solve(metric, _windows_of(step, calls), block)
+    # the one block at the top settles it
+    _check_windows(calls, block, len(ENGINE_GRID) - 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("block", WINDOW_BLOCKS)
+def test_trailing_check_scans_whole_chunks(block):
+    """The heuristic scan's trailing-decade check keeps whole-chunk windows,
+    so it raises in the same cases with or without a kernel block."""
+    metric, step, _ = _step_metric(float(ENGINE_GRID[100]))
+    calls = []
+    res = _solve(metric, _windows_of(step, calls), block, heuristic_horizon=1.0)
+    assert calls == [(768, 809), (512, 768), (256, 512), (0, 256)]
+    assert res.radius == _solve(metric, step, heuristic_horizon=1.0).radius
+
+
 # --- equivalence with the whole-grid scan ------------------------------------
 
 EQUIV_ANGLES = AngleSearchPolicy(coarse_grid_points=181)
@@ -652,24 +745,38 @@ def test_optimal_radius_equals_full_scan(freq_ghz, n_elements):
         def metric(r, batch=batch):
             return float(batch(np.array([r]))[0])
 
-        got = optimal_radius(
-            metric, delta, EQUIV_ENVELOPE, r_min=r_min, batch_metric=batch, **bound
-        )
         want = oracles.optimal_radius_full_scan(
             metric, batch, delta, EQUIV_ENVELOPE, r_min, **bound
         )
-        assert got.radius == want, (delta, got.radius, want)
+        for block in (_SCAN_CHUNK, block_rows(cfg, EQUIV_ANGLES)):
+            got = optimal_radius(metric, delta, EQUIV_ENVELOPE, r_min=r_min, batch_metric=batch,
+                                 block=block, **bound)
+            assert got.radius == want, (delta, block, got.radius, want)
 
 
-@pytest.mark.parametrize("freq_ghz, n_elements", [(300, 64), (10, 5)])
+@pytest.mark.parametrize("freq_ghz, n_elements", [(300, 64), (10, 5), (300, 10)])
 def test_batch_values_do_not_depend_on_grouping(freq_ghz, n_elements):
-    """The scan evaluates the grid in _SCAN_CHUNK-range slices counted from
-    grid[0]; every row must come out as in one whole-grid call, bit for bit.
-    At N=64 the kernel's 43-row blocks straddle the slice boundary; at N=5
-    its 64-row blocks line up with it."""
+    """The scan evaluates the grid in windows of whole kernel blocks counted
+    from each _SCAN_CHUNK start.  Every row must come out as in a
+    whole-chunk call, bit for bit, and the whole-chunk calls as in one
+    whole-grid call.  At N=64 the kernel's 43-row blocks straddle the chunk
+    boundary; at N=5 and N=10 its 64-row blocks line up with it."""
     cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
     r_min = resolve_r_min(cfg, EnvelopeSearchPolicy())
     grid = np.geomspace(r_min, 2 * spf_distance(cfg, 1e-3), 300)
+    windows = []
+
+    def record(rs):
+        windows.append(rs)
+        return np.zeros_like(rs)
+
+    # no violation: the windows cover the grid, from a last candidate inside it
+    bound = float(grid[290])
+    _last_crossing(None, record, grid, 1.0, 1e-8, "", proven_bound=bound,
+                   block=block_rows(cfg, AngleSearchPolicy()))
+    covered = len(np.concatenate(windows))
+    assert len(windows) > 2 and covered > 290
+    assert np.array_equal(np.concatenate(windows[::-1]), grid[:covered])
     kernels = [
         lambda rs: e_linf_worst_batch(cfg, rs),
         lambda rs: e_l2_worst_batch(cfg, rs),
@@ -678,5 +785,8 @@ def test_batch_values_do_not_depend_on_grouping(freq_ghz, n_elements):
     for kernel in kernels:
         whole = kernel(grid)
         parts = [kernel(grid[i : i + _SCAN_CHUNK]) for i in range(0, len(grid), _SCAN_CHUNK)]
+        scanned = [kernel(w) for w in windows[::-1]]
         for k in range(2):  # values and maximizing angles
-            assert np.array_equal(np.concatenate([p[k] for p in parts]), whole[k])
+            chunked = np.concatenate([p[k] for p in parts])
+            assert np.array_equal(chunked, whole[k])
+            assert np.array_equal(np.concatenate([w[k] for w in scanned]), chunked[:covered])

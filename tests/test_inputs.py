@@ -24,7 +24,9 @@ from nearfield import (
     spf_distance,
     sspf_distance,
 )
-from nearfield.sweep import RangeGrid
+from nearfield.sweep import RangeGrid, SweepSpec
+
+ONE_CONFIG = dict(configs=(ArrayConfig(carrier_freq=1e9, n_elements=4),))
 
 FIELDS = [
     (ArrayConfig, dict(carrier_freq=1e9, n_elements=4), name)
@@ -43,6 +45,8 @@ FIELDS = [
     (EnvelopeSearchPolicy, {}, name) for name in ("r_min", "points_per_decade", "bisection_tol")
 ] + [
     (RangeGrid, dict(start=1.0, stop=2.0, points=3), name) for name in ("start", "stop", "points")
+] + [
+    (SweepSpec, ONE_CONFIG, "auto_grid_points")
 ]
 
 
@@ -70,6 +74,7 @@ COUNTS = [
     (AngleSearchPolicy, {}, "refine_max_iter", 2.5),
     (EnvelopeSearchPolicy, {}, "points_per_decade", 100.5),
     (RangeGrid, dict(start=1.0, stop=2.0), "points", 2.5),
+    (SweepSpec, ONE_CONFIG, "auto_grid_points", 2.5),
 ]
 
 

@@ -28,6 +28,7 @@ from nearfield.arrays import MAX_RANGE_M, DegenerateGeometryError
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
 from nearfield.metrics import (
     _golden_max_batch,
+    block_rows,
     e_l2_worst_batch,
     e_linf_worst_batch,
     parallel_map,
@@ -165,6 +166,23 @@ def test_worst_value_dominates_own_grid(cfg10_5):
     for r in (0.2, 1.7, 40.0):
         grid_values = _linf_grid(cfg10_5, np.array([r]), _clamped_cos(thetas)[None, :])[0]
         assert e_linf_worst(cfg10_5, r, policy).value >= grid_values.max()
+
+
+def test_block_rows_is_the_kernel_block(cfg10_5, monkeypatch):
+    # 723 angles: 64-row blocks below 44 elements, 43 rows at N = 64
+    cfg64 = ArrayConfig(carrier_freq=300e9, n_elements=64)
+    assert block_rows(cfg10_5, AngleSearchPolicy()) == 64
+    assert block_rows(cfg64, AngleSearchPolicy()) == 43
+    starts = []
+    real = metrics.parallel_map
+
+    def recording(fn, items):
+        starts.append(list(items))
+        return real(fn, starts[-1])
+
+    monkeypatch.setattr(metrics, "parallel_map", recording)
+    e_linf_worst_batch(cfg64, np.geomspace(1.0, 10.0, 100))
+    assert starts == [[0, 43, 86]]
 
 
 def test_batch_matches_scalar(cfg10_5):
