@@ -11,7 +11,9 @@ across commits, however fast the solver is.  Every run gets a fresh
 interpreter, as `perfbench/run.py` does, so its peak RSS and import cost are
 its own.  The file holds, per run, the `env` object that `perfbench/run.py`
 prints and the run's result object: correct/attempted/failed, the metrics,
-the workload's own named metrics, notes and failure messages.
+the workload's own named metrics, notes and failure messages.  The `env`
+object also says whether the measured `src/` differs from `git_commit`
+(`src_dirty`, null without git).
 """
 
 from __future__ import annotations
@@ -27,6 +29,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("solve", "evaluate", "sweep")
+
+
+def src_dirty(root: Path) -> bool | None:
+    """Whether src/ differs from HEAD, by `git diff --quiet`; None without git."""
+    if not (root / ".git").exists():  # outside a repo git diff compares paths instead
+        return None
+    try:
+        diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src"], cwd=root,
+                              capture_output=True, check=False)
+    except OSError:
+        return None
+    return {0: False, 1: True}.get(diff.returncode)
 
 
 def run_one(workload: str, trace: bool, seed: int, seconds: float) -> dict:
@@ -50,6 +64,7 @@ def run_one(workload: str, trace: bool, seed: int, seconds: float) -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "git_commit": bench_run.git_commit(ROOT),
+        "src_dirty": src_dirty(ROOT),
         "source_sha256": bench_run.source_digest(Path(nearfield.__file__).resolve().parent),
     }
     with tempfile.TemporaryDirectory(prefix="bench-spans-") as spans:

@@ -21,10 +21,7 @@ from .metrics import (
 )
 
 
-# Ranges per chunk of the last-crossing scan, counted from grid[0].  Scan
-# windows start on a kernel block boundary of their chunk and never cross a
-# chunk start, so each row keeps the bits of a whole-chunk call (below 44
-# elements at the default angle density, of a whole-grid call too).
+# Ranges per window of the last-crossing scan for a metric with no kernel block.
 _SCAN_CHUNK = 256
 
 # The uncertified (SE) search builds its grid up to MAX_SCAN_FACTOR times its
@@ -38,8 +35,8 @@ class HorizonExceededError(RuntimeError):
     """Tolerance violations persist at the end of the scan horizon."""
 
 
-def _require_tolerance(name: str, value: float) -> None:
-    """Reject a tolerance that is NaN, infinite or not positive, naming it."""
+def _require_positive(name: str, value: float) -> None:
+    """Reject a value that is NaN, infinite or not positive, naming it."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
@@ -54,7 +51,7 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_tolerance(f.name, getattr(self, f.name))
+            _require_positive(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ class CubicCoefficients:
 
     @classmethod
     def from_config(cls, cfg: ArrayConfig, delta_inf: float) -> "CubicCoefficients":
-        _require_tolerance("delta_inf", delta_inf)
+        _require_positive("delta_inf", delta_inf)
         if cfg.n_elements < 2:
             raise ValueError("the cubic needs a nonzero aperture (n_elements >= 2)")
         d_sq = cfg.aperture * cfg.aperture
@@ -165,7 +162,7 @@ def rayleigh_distance(cfg: ArrayConfig) -> float:
 
 def sspf_distance(cfg: ArrayConfig, delta_inf: float) -> float:
     """Strict small-phase radius sqrt((k*D^2 + D) / (2*delta))."""
-    _require_tolerance("delta_inf", delta_inf)
+    _require_positive("delta_inf", delta_inf)
     d_ap = cfg.aperture
     return math.sqrt((cfg.wavenumber * d_ap * d_ap + d_ap) / (2.0 * delta_inf))
 
@@ -213,7 +210,7 @@ def epf_distance(
     """
     if cfg.n_elements < 2:
         raise ValueError("epf_distance needs a nonzero aperture (n_elements >= 2)")
-    _require_tolerance("delta_inf", delta_inf)
+    _require_positive("delta_inf", delta_inf)
     policy = policy or EnvelopeSearchPolicy()
     r_min = resolve_r_min(cfg, policy)
     spf = spf_distance(cfg, delta_inf)
@@ -236,15 +233,15 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
     The normalized total mismatch never exceeds (r + D) times the per-element
     worst case, so no violation of delta_2 can occur beyond this radius.
     """
-    _require_tolerance("delta_2", delta_2)
+    _require_positive("delta_2", delta_2)
     d_ap = cfg.aperture
     if d_ap == 0.0:
         return 0.0
 
-    def h(r: float) -> float:
+    def h(r):
         # an overflowing r**3 makes its term read 0, which is its limit
         with np.errstate(over="ignore"):
-            return (r + d_ap) * float(small_angle_envelope(cfg, r))
+            return (r + d_ap) * small_angle_envelope(cfg, r)
 
     hi = max(d_ap, cfg.spacing)
     while h(hi) >= delta_2:
@@ -253,7 +250,7 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
             raise HorizonExceededError(f"delta_2 {delta_2} needs ranges whose square overflows")
     # h(hi) < delta_2, and h(hi / 2) >= delta_2 unless hi is the start
     return _last_crossing(
-        h, None, np.array([hi / 2.0, hi]), delta_2, 1e-12, f"search end {hi} m violates delta_2"
+        h, h, np.array([hi / 2.0, hi]), delta_2, 1e-12, f"search end {hi} m violates delta_2"
     )
 
 
@@ -271,7 +268,7 @@ def linf_mismatch_bound(cfg: ArrayConfig, delta_inf: float) -> float:
     which falls below delta_inf for r > r_inf.  Unlike small_angle_envelope
     it holds for every r > D.
     """
-    _require_tolerance("delta_inf", delta_inf)
+    _require_positive("delta_inf", delta_inf)
     d_ap = cfg.aperture
     return d_ap + math.sqrt((d_ap + 0.5 * cfg.wavenumber * d_ap * d_ap) / delta_inf)
 
@@ -289,7 +286,7 @@ def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
     which decreases on r > D and equals delta_2 at r_2, the positive root of
     delta_2*u^2 - A*u - 2*A*D = 0 in u = r - D.
     """
-    _require_tolerance("delta_2", delta_2)
+    _require_positive("delta_2", delta_2)
     x = cfg.element_offsets()
     a = math.sqrt(np.mean(x * x)) + 0.5 * cfg.wavenumber * math.sqrt(np.mean(x**4))
     d_ap = cfg.aperture
@@ -308,7 +305,7 @@ def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> floa
     mismatch.  No property of eta enters: the bound is tight where the
     pilot-noise floor, not wavefront mismatch, sets opt_se.
     """
-    _require_tolerance("delta_se", delta_se)
+    _require_positive("delta_se", delta_se)
     amp = cfg.wavelength / (4.0 * math.pi)
     return cfg.aperture + amp * math.sqrt(
         budget.data_snr * cfg.n_elements / math.expm1(delta_se * math.log(2.0))
@@ -318,6 +315,8 @@ def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> floa
 def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
     if not math.isfinite(hi):
         raise HorizonExceededError(f"scan end {hi} m is not a finite horizon")
+    if not math.isfinite(hi / lo):
+        raise HorizonExceededError(f"scan from {lo} m to {hi} m: the range ratio overflows")
     decades = math.log10(hi / lo)
     n = max(int(math.ceil(decades * points_per_decade)) + 1, 16)
     return np.geomspace(lo, hi, n)
@@ -325,7 +324,7 @@ def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
 
 def _last_crossing(
     metric: Callable[[float], float],
-    batch_metric: Callable[[np.ndarray], np.ndarray] | None,
+    batch_metric: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
     delta: float,
     bisection_tol: float,
@@ -340,36 +339,26 @@ def _last_crossing(
     it; the scan start grid[0] when no grid point violates.  NaN/inf values
     count as violations.
 
-    The scan starts at the last candidate, the last grid point at or below
-    `proven_bound` (a range beyond which the metric provably stays below
-    delta), else the horizon.  It evaluates windows downward from there
-    (metric mapped over a window when batch_metric is None) and stops at the
-    first that holds a violation: nothing below it can move the last
-    crossing.  The first window is the block of `block` ranges that holds
-    the candidate, each later one has twice as many blocks; blocks are
-    counted from each _SCAN_CHUNK start and no window crosses one.
-    `trailing`, as (r_from, limit, message) with limit <= delta, requires
-    every grid point at or beyond r_from to lie below limit, raising
-    HorizonExceededError(message) otherwise; it scans whole chunks, each
-    checked before its violations.
+    The batch metric evaluates the grid in windows of `block` ranges counted
+    from grid[0], so with the kernel's block (metrics.block_rows) each window
+    is one kernel block and every row comes out as in a whole-grid call.  The
+    scan starts at the window that holds the last candidate, the last grid
+    point at or below `proven_bound` (a range beyond which the metric
+    provably stays below delta), else the horizon, and steps down one window
+    at a time to the first that holds a violation: nothing below it can move
+    the last crossing.  `trailing`, as (r_from, limit, message) with
+    limit <= delta, requires every grid point at or beyond r_from to lie
+    below limit, raising HorizonExceededError(message) otherwise.  Each
+    window is checked before its violations, and a trailing point below the
+    last window scanned lies below that window's violation, which fails the
+    check itself, so the check does not depend on `block`.
     """
     last_candidate = len(grid) - 1
     if proven_bound is not None:
         last_candidate = max(int(np.searchsorted(grid, proven_bound, side="right")) - 1, 0)
-    if trailing is not None:
-        block = _SCAN_CHUNK
-    chunk = last_candidate // _SCAN_CHUNK * _SCAN_CHUNK
-    block_end = last_candidate - (last_candidate - chunk) % block + block
-    hi = min(block_end, chunk + _SCAN_CHUNK, len(grid))
-    blocks = 1
-    while hi > 0:
-        chunk = (hi - 1) // _SCAN_CHUNK * _SCAN_CHUNK
-        lo = chunk + max((hi - chunk + block - 1) // block - blocks, 0) * block
-        window = grid[lo:hi]
-        if batch_metric is None:
-            values = np.array([metric(float(r)) for r in window])
-        else:
-            values = np.asarray(batch_metric(window), dtype=float)
+    for lo in range(last_candidate // block * block, -1, -block):
+        window = grid[lo : lo + block]
+        values = np.asarray(batch_metric(window), dtype=float)
         if trailing is not None:
             r_from, limit, message = trailing
             if np.any(~(values[window >= r_from] < limit)):
@@ -378,7 +367,6 @@ def _last_crossing(
         if violating.size:
             last = lo + int(violating[-1])
             break
-        hi, blocks = lo, 2 * blocks
     else:
         return float(grid[0])
     if last == len(grid) - 1:
@@ -409,33 +397,42 @@ def optimal_radius(
 
     metric maps a range in meters to a worst-case (angle-maximized) value and
     drives the bisection; batch_metric, when given, must be its vectorized
-    twin and is used for the grid scan, which runs from the horizon down and
-    stops at the last violation.  With `analytic_bound` (a Taylor-based
-    closed form) the grid runs to twice the bound and the result is
-    certified; with a proven bound beside it, that horizon only fixes where
-    the grid points sit.  Without it, the grid runs to MAX_SCAN_FACTOR *
-    heuristic_horizon, its trailing decade must sit below delta *
-    CERTIFICATION_MARGIN, and the result is not certified.  `proven_bound`,
-    a range beyond which the metric provably stays below delta, replaces
-    that trailing check: the scan starts at the grid point at or below the
-    bound, and the grid ends at the bound instead when the bound lies beyond
-    its horizon.  `block`, the batch metric's kernel block
-    (metrics.block_rows), lets the scan evaluate windows of 1, 2, 4, ...
-    whole blocks; the default, like the trailing check, scans whole
-    _SCAN_CHUNK chunks.  Returns r_min when no scanned point violates the
-    tolerance.
+    twin and evaluates the grid scan, which otherwise maps metric.  The scan
+    runs from the horizon down and stops at the last violation.  With
+    `analytic_bound` (a Taylor-based closed form) the grid runs to twice the
+    bound and the result is certified; with a proven bound beside it, that
+    horizon only fixes where the grid points sit.  Without it, the grid runs
+    to MAX_SCAN_FACTOR * heuristic_horizon, its trailing decade must sit
+    below delta * CERTIFICATION_MARGIN, and the result is not certified.
+    `proven_bound`, a range beyond which the metric provably stays below
+    delta, replaces that trailing check: the scan starts at the grid point
+    at or below the bound, and the grid ends at the bound instead when the
+    bound lies beyond its horizon.  The scan evaluates one window of `block`
+    ranges at a time, counted from r_min; pass the batch metric's kernel
+    block (metrics.block_rows) to make each window one kernel block.
+    Returns r_min when no scanned point violates the tolerance.
+
+    A NaN, infinite or non-positive r_min, and a NaN or non-positive bound
+    or horizon, raise ValueError; an infinite one raises
+    HorizonExceededError.
     """
-    _require_tolerance("delta", delta)
+    _require_positive("delta", delta)
+    _require_positive("r_min", r_min)
+    for name, value in (("analytic_bound", analytic_bound),
+                        ("heuristic_horizon", heuristic_horizon),
+                        ("proven_bound", proven_bound)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if not (isinstance(block, int) and block >= 1):
         raise ValueError(f"block must be a positive integer, got {block!r}")
+    batch_metric = batch_metric or (lambda rs: [metric(float(r)) for r in rs])
     policy = policy or EnvelopeSearchPolicy()
     trailing = None
     if analytic_bound is not None:
         horizon = 2.0 * max(analytic_bound, r_min)
         certified = True
     else:
-        base = heuristic_horizon if heuristic_horizon else r_min
-        horizon = MAX_SCAN_FACTOR * max(base, r_min)
+        horizon = MAX_SCAN_FACTOR * max(heuristic_horizon or r_min, r_min)
         certified = False
     if proven_bound is not None:
         if not math.isfinite(proven_bound):
@@ -471,8 +468,8 @@ def boundary_set(
     """All seven transition radii for one configuration.
 
     The opt_linf and opt_l2 scans start at linf_mismatch_bound and
-    l2_mismatch_bound, and the SE scan at se_gain_bound, in windows of whole
-    kernel blocks.  The grids still end at twice spf and twice
+    l2_mismatch_bound, and the SE scan at se_gain_bound, one kernel block per
+    window and per kernel call.  The grids still end at twice spf and twice
     l2_certification_bound (at the heuristic horizon for SE), or at the
     proven bound where that lies beyond; that end only fixes where the grid
     points sit.

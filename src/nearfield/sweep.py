@@ -143,8 +143,10 @@ def curve_records(
     """Worst-case curve rows of one metric on a range grid, and per-point errors.
 
     When the grid holds a range below ~2e-162 m, where the source coincides
-    with an element, each range is evaluated alone (the same bits) and the
-    failing ones become NaN gap markers instead of aborting the curve.
+    with an element, each range is evaluated alone and the failing ones
+    become NaN gap markers instead of aborting the curve.  Those rows need
+    not match the whole-grid call bit for bit: an SE row's value and angle
+    depend on the rows that share its kernel block.
     """
     # module globals, looked up per call, so wrapped names take effect
     batch = {

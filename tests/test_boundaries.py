@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_high_snr_se_radius_found_below_the_gain_bound():
 def test_flagship_se_scan_stops_at_the_gain_bound(cfg300, monkeypatch):
     """The flagship's SE radius (0.969 m) lies far below its heuristic horizon
     (5,597 m).  r_G = 1.021 m confines the scan to the kernel blocks below it:
-    one 43-row block, then two; the whole heuristic grid cost 7,685 ranges."""
+    two 43-row blocks; the whole heuristic grid cost 7,685 ranges."""
     seen = []
     real = boundaries.se_loss_worst_batch
 
@@ -265,7 +266,7 @@ def test_flagship_se_scan_stops_at_the_gain_bound(cfg300, monkeypatch):
 
     monkeypatch.setattr(boundaries, "se_loss_worst_batch", counting)
     bounds = boundary_set(cfg300)
-    assert 0 < sum(seen) <= 3 * 43
+    assert 0 < sum(seen) <= 2 * 43
     assert bounds.opt_se == pytest.approx(0.969368176382184, rel=1e-9)
     assert not bounds.opt_se_certified
 
@@ -645,21 +646,10 @@ def _windows_of(batch, calls):
 
 
 def _check_windows(calls, block, last_candidate, n=len(ENGINE_GRID)):
-    """The windows of a scan with kernel block `block`: the first is the one
-    block that holds the last candidate; each later one lies right below the
-    one before, starts on a block boundary counted from its chunk start and
-    holds 2^i blocks, fewer only where it meets its chunk start."""
-    top = last_candidate // _SCAN_CHUNK * _SCAN_CHUNK
-    first = top + (last_candidate - top) // block * block
-    assert calls[0] == (first, min(first + block, top + _SCAN_CHUNK, n))
-    for i, (lo, hi) in enumerate(calls):
-        chunk = lo // _SCAN_CHUNK * _SCAN_CHUNK
-        assert (lo - chunk) % block == 0 and hi - chunk <= _SCAN_CHUNK
-        assert (hi - chunk) % block == 0 or hi in (chunk + _SCAN_CHUNK, n)
-        if i:
-            assert hi == calls[i - 1][0]
-            blocks = -(-(hi - lo) // block)
-            assert blocks == 2**i or (lo == chunk and blocks < 2**i)
+    """The windows of a scan with window `block`: one block each, counted
+    from grid[0], from the block that holds the last candidate down."""
+    first = last_candidate // block * block
+    assert calls == [(lo, min(lo + block, n)) for lo in range(first, -1, -block)][: len(calls)]
 
 
 WINDOW_BLOCKS = [1, 7, 43, 64, 256]
@@ -667,12 +657,11 @@ WINDOW_BLOCKS = [1, 7, 43, 64, 256]
 
 @pytest.mark.parametrize("block", WINDOW_BLOCKS)
 def test_last_crossing_windows_follow_the_kernel_blocks(block):
-    """Windows of whole blocks from the last candidate down find the radius
-    of the full scan: violations at a block's first and last index, at a
-    chunk's first and last index, only at grid[0], nowhere and as NaN, with
-    the last candidate at the horizon or at a proven bound of 30 m (index
-    597)."""
-    edge = _SCAN_CHUNK + 100 // block * block
+    """One-block windows from the last candidate down find the radius of the
+    full scan: violations at a block's first and last index, at indices 512
+    and 511, only at grid[0], nowhere and as NaN, with the last candidate at
+    the horizon or at a proven bound of 30 m (index 597)."""
+    edge = (_SCAN_CHUNK + 100) // block * block
     lasts = [edge, edge - 1, 2 * _SCAN_CHUNK, 2 * _SCAN_CHUNK - 1, 0, None]
     for bound in ({"analytic_bound": 50.0}, {"analytic_bound": 50.0, "proven_bound": 30.0}):
         candidate = len(ENGINE_GRID) - 1
@@ -706,13 +695,37 @@ def test_last_crossing_windows_at_the_horizon(block):
 
 @pytest.mark.parametrize("block", WINDOW_BLOCKS)
 def test_trailing_check_scans_whole_chunks(block):
-    """The heuristic scan's trailing-decade check keeps whole-chunk windows,
-    so it raises in the same cases with or without a kernel block."""
+    """The heuristic scan's default windows are whole chunks.  With any
+    window the trailing-decade check (from 10 m, index 404) raises in the
+    same cases as the full scan: a last violation below, at or above the
+    tail start, with or without a tail value between delta * margin and
+    delta."""
     metric, step, _ = _step_metric(float(ENGINE_GRID[100]))
     calls = []
-    res = _solve(metric, _windows_of(step, calls), block, heuristic_horizon=1.0)
+    _solve(metric, _windows_of(step, calls), heuristic_horizon=1.0)
     assert calls == [(768, 809), (512, 768), (256, 512), (0, 256)]
-    assert res.radius == _solve(metric, step, heuristic_horizon=1.0).radius
+    n = len(ENGINE_GRID)
+    tail_start = int(np.flatnonzero(ENGINE_GRID >= 10.0)[0])
+    for last in (100, tail_start - 1, tail_start, n - 2):
+        for unsettled in (None, tail_start, tail_start + 50, n - 1):
+            metric, step, _ = _step_metric(float(ENGINE_GRID[last]))
+            bump = -1.0 if unsettled is None else float(ENGINE_GRID[unsettled])
+
+            def batch(rs, step=step, bump=bump):
+                return step(rs) + 0.4 * (rs == bump)
+
+            full = partial(oracles.optimal_radius_full_scan, metric, batch, 0.5, ENGINE_POLICY,
+                           1.0, heuristic_horizon=1.0)
+            calls = []
+            if last >= tail_start or unsettled is not None:
+                with pytest.raises(RuntimeError, match="^trailing decade"):
+                    full()
+                with pytest.raises(HorizonExceededError, match="^trailing decade"):
+                    _solve(metric, _windows_of(batch, calls), block, heuristic_horizon=1.0)
+            else:
+                res = _solve(metric, _windows_of(batch, calls), block, heuristic_horizon=1.0)
+                assert res.radius == full() and not res.certified
+            _check_windows(calls, block, n - 1)
 
 
 # --- equivalence with the whole-grid scan ------------------------------------
@@ -754,16 +767,17 @@ def test_optimal_radius_equals_full_scan(freq_ghz, n_elements):
             assert got.radius == want, (delta, block, got.radius, want)
 
 
-@pytest.mark.parametrize("freq_ghz, n_elements", [(300, 64), (10, 5), (300, 10)])
+@pytest.mark.parametrize("freq_ghz, n_elements", [(300, 64), (10, 5), (300, 10), (300, 44)])
 def test_batch_values_do_not_depend_on_grouping(freq_ghz, n_elements):
-    """The scan evaluates the grid in windows of whole kernel blocks counted
-    from each _SCAN_CHUNK start.  Every row must come out as in a
-    whole-chunk call, bit for bit, and the whole-chunk calls as in one
-    whole-grid call.  At N=64 the kernel's 43-row blocks straddle the chunk
-    boundary; at N=5 and N=10 its 64-row blocks line up with it."""
+    """The scan evaluates the grid one kernel block at a time, counted from
+    grid[0]: every row must come out as in one whole-grid call, bit for bit.
+    At N=44 and N=64 the blocks hold 63 and 43 rows and straddle every
+    multiple of 256, the window for a metric with no kernel block; at N=5
+    and N=10 they hold 64 rows."""
     cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
     r_min = resolve_r_min(cfg, EnvelopeSearchPolicy())
-    grid = np.geomspace(r_min, 2 * spf_distance(cfg, 1e-3), 300)
+    grid = np.geomspace(r_min, 2 * spf_distance(cfg, 1e-3), 640)
+    block = block_rows(cfg, AngleSearchPolicy())
     windows = []
 
     def record(rs):
@@ -771,11 +785,10 @@ def test_batch_values_do_not_depend_on_grouping(freq_ghz, n_elements):
         return np.zeros_like(rs)
 
     # no violation: the windows cover the grid, from a last candidate inside it
-    bound = float(grid[290])
-    _last_crossing(None, record, grid, 1.0, 1e-8, "", proven_bound=bound,
-                   block=block_rows(cfg, AngleSearchPolicy()))
+    _last_crossing(None, record, grid, 1.0, 1e-8, "", proven_bound=float(grid[630]), block=block)
+    assert [len(w) for w in windows[1:]] == [block] * (len(windows) - 1)
     covered = len(np.concatenate(windows))
-    assert len(windows) > 2 and covered > 290
+    assert covered > 630
     assert np.array_equal(np.concatenate(windows[::-1]), grid[:covered])
     kernels = [
         lambda rs: e_linf_worst_batch(cfg, rs),
@@ -784,9 +797,6 @@ def test_batch_values_do_not_depend_on_grouping(freq_ghz, n_elements):
     ]
     for kernel in kernels:
         whole = kernel(grid)
-        parts = [kernel(grid[i : i + _SCAN_CHUNK]) for i in range(0, len(grid), _SCAN_CHUNK)]
         scanned = [kernel(w) for w in windows[::-1]]
         for k in range(2):  # values and maximizing angles
-            chunked = np.concatenate([p[k] for p in parts])
-            assert np.array_equal(chunked, whole[k])
-            assert np.array_equal(np.concatenate([w[k] for w in scanned]), chunked[:covered])
+            assert np.array_equal(np.concatenate([w[k] for w in scanned]), whole[k][:covered])

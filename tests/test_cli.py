@@ -359,6 +359,19 @@ def test_solver_failure_exits_3(capsys):
     assert "solver error" in err and "element 1" in err
 
 
+def test_overflowing_scan_ratio_exits_3(capsys, tmp_path):
+    """An r_min of 1e-320 m puts the end of the EPF scan more decades away
+    than a float ratio holds: the refusal names both ends."""
+    cfg_file = tmp_path / "tiny.json"
+    cfg_file.write_text(json.dumps({"envelope_policy": {"r_min": 1e-320}}))
+    code, out, err = run_cli(
+        capsys, "boundaries", "--freq-ghz", "28", "--elements", "4", "--config", str(cfg_file),
+    )
+    assert code == 3 and not out
+    assert err.startswith("solver error: scan from 1e-320 m to ")
+    assert err.rstrip().endswith(" m: the range ratio overflows")
+
+
 def test_reproduce_bundle(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "reproduce", "fig3-se", "--out-dir", str(tmp_path),

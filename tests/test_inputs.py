@@ -12,6 +12,7 @@ from nearfield import (
     ArrayConfig,
     CubicCoefficients,
     EnvelopeSearchPolicy,
+    HorizonExceededError,
     LinkBudget,
     PolarPosition,
     Tolerances,
@@ -90,7 +91,8 @@ def test_fractional_count_rejected_by_name(make, base, name, value):
     assert whole == math.ceil(value) and type(whole) is int
 
 
-# every function a tolerance enters directly, with the argument name it reports
+# every function a tolerance (or optimal_radius's r_min) enters directly, with
+# the argument name it reports
 TOLERANCE_ARGS = [
     (sspf_distance, "delta_inf"),
     (spf_distance, "delta_inf"),
@@ -102,13 +104,15 @@ TOLERANCE_ARGS = [
     (lambda cfg, value: se_gain_bound(cfg, value, DEFAULT_BUDGET), "delta_se"),
     (lambda cfg, value: optimal_radius(lambda r: 0.0, value, r_min=1.0, analytic_bound=2.0),
      "delta"),
+    (lambda cfg, value: optimal_radius(lambda r: 0.0, 1.0, r_min=value, analytic_bound=2.0),
+     "r_min"),
 ]
 
 
 @pytest.mark.parametrize(
     "solve, name", TOLERANCE_ARGS,
     ids=["sspf", "spf", "cubic", "epf", "linf_bound", "l2_certification", "l2_bound",
-         "se_gain_bound", "optimal_radius"],
+         "se_gain_bound", "optimal_radius", "optimal_radius_r_min"],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
 def test_bad_tolerance_rejected_by_name(solve, name, value):
@@ -116,3 +120,16 @@ def test_bad_tolerance_rejected_by_name(solve, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
         solve(cfg, value)
     solve(cfg, 1e-3)
+
+
+# optimal_radius's bounds and horizon must be positive; None means "not given".
+# A proven_bound of -1.0 used to certify 1.34 m for 1/r at 0.5, which crosses at 2 m.
+@pytest.mark.parametrize("name", ["analytic_bound", "heuristic_horizon", "proven_bound"])
+@pytest.mark.parametrize("value", [math.nan, -math.inf, 0.0, -1.0])
+def test_bad_optimal_radius_bound_rejected_by_name(name, value):
+    args = {"r_min": 1.0, "analytic_bound": 10.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+        optimal_radius(lambda r: 1.0 / r, 0.5, **args)
+    # an infinite one leaves the search no finite horizon
+    with pytest.raises(HorizonExceededError, match="not a finite horizon$"):
+        optimal_radius(lambda r: 1.0 / r, 0.5, r_min=1.0, **{name: math.inf})
