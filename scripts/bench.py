@@ -13,7 +13,8 @@ its own.  The file holds, per run, the `env` object that `perfbench/run.py`
 prints and the run's result object: correct/attempted/failed, the metrics,
 the workload's own named metrics, notes and failure messages.  The `env`
 object also says whether the measured `src/` differs from `git_commit`
-(`src_dirty`, null without git).
+(`src_dirty`, null without git).  The script exits 1 after writing the file
+when any run reads `correct: false`, and lists the labels that failed.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def main(argv=None) -> int:
     if args.out is None:
         parser.error("--out is required")
 
-    runs = []
+    runs, failed = [], []
     for workload in WORKLOADS:
         for trace in ("0", "1"):
             seconds = args.seconds if trace == "0" else 0.0
@@ -110,9 +111,13 @@ def main(argv=None) -> int:
             print(f"{workload} trace={trace}: failed {result['failed']} of "
                   f"{result['attempted']}", file=sys.stderr)
             runs.append(record)
+            if not result["correct"]:
+                failed.append(f"{workload} trace={trace}: {', '.join(result['failures'])}")
     args.out.write_text(json.dumps({"schema": 1, "runs": runs}, indent=1) + "\n",
                         encoding="utf-8")
-    return 0
+    for line in failed:
+        print(f"bench: incorrect: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -11,6 +11,13 @@ import numpy as np
 LIGHT_SPEED = 3.0e8
 """Default propagation speed in m/s (3e8, so half-wave geometries stay exact)."""
 
+MIN_RANGE_M = math.sqrt(sys.float_info.min)
+"""Smallest range whose square is a normal float (about 1.49e-154 m).  From
+here to MAX_RANGE_M the distance R_0 = r to the first element is positive,
+and the worst-case search's clamped cosine keeps 2*r*x_n*(1 - cos) > 0 for
+every other element, so no worst-case evaluation raises
+DegenerateGeometryError."""
+
 MAX_RANGE_M = math.sqrt(sys.float_info.max)
 """Largest range whose square is finite (about 1.34e154 m); every distance
 computation squares the range, so a larger one yields inf and NaN metrics."""
@@ -37,6 +44,17 @@ def require_whole(obj, *names: str) -> None:
         if int(value) != value:
             raise ValueError(f"{name} must be an integer, got {value}")
         object.__setattr__(obj, name, int(value))
+
+
+def require_ranges(name: str, r) -> None:
+    """Reject any range outside [MIN_RANGE_M, MAX_RANGE_M], NaN included,
+    naming it and the first offending value."""
+    r = np.asarray(r, dtype=float)
+    bad = r[~((r >= MIN_RANGE_M) & (r <= MAX_RANGE_M))]
+    if bad.size:
+        value = float(bad[0])
+        limit = f"at most {MAX_RANGE_M!r}" if value > MAX_RANGE_M else f"at least {MIN_RANGE_M!r}"
+        raise ValueError(f"{name} must be {limit} m, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -98,10 +116,7 @@ class PolarPosition:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.range_m <= 0:
-            raise ValueError(f"range_m must be positive, got {self.range_m}")
-        if self.range_m > MAX_RANGE_M:
-            raise ValueError(f"range_m must be at most {MAX_RANGE_M!r} m, got {self.range_m}")
+        require_ranges("range_m", self.range_m)
 
 
 def distances(r, nd, cos_t):

@@ -24,6 +24,10 @@ from .metrics import (
 # Ranges per window of the last-crossing scan for a metric with no kernel block.
 _SCAN_CHUNK = 256
 
+MAX_GRID_POINTS = 1_000_000
+"""Most points a scan or curve grid may hold, about 50 times a default scan
+(20k points) and 2,500 times a default curve; a larger grid is refused."""
+
 # The uncertified (SE) search builds its grid up to MAX_SCAN_FACTOR times its
 # heuristic horizon.  Without a proven bound it requires the trailing decade of
 # that grid to lie below CERTIFICATION_MARGIN times the tolerance.
@@ -306,10 +310,12 @@ def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> floa
     pilot-noise floor, not wavefront mismatch, sets opt_se.
     """
     _require_positive("delta_se", delta_se)
+    try:
+        growth = math.expm1(delta_se * math.log(2.0))
+    except OverflowError:  # 2^delta_se - 1 overflows: the root term's limit is 0
+        return cfg.aperture
     amp = cfg.wavelength / (4.0 * math.pi)
-    return cfg.aperture + amp * math.sqrt(
-        budget.data_snr * cfg.n_elements / math.expm1(delta_se * math.log(2.0))
-    )
+    return cfg.aperture + amp * math.sqrt(budget.data_snr * cfg.n_elements / growth)
 
 
 def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
@@ -319,6 +325,9 @@ def _log_grid(lo: float, hi: float, points_per_decade: int) -> np.ndarray:
         raise HorizonExceededError(f"scan from {lo} m to {hi} m: the range ratio overflows")
     decades = math.log10(hi / lo)
     n = max(int(math.ceil(decades * points_per_decade)) + 1, 16)
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"points_per_decade {points_per_decade} makes a scan grid of {n} "
+                         f"points, more than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, n)
 
 

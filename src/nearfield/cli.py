@@ -87,17 +87,24 @@ def _overlay(base, file_section: dict, **flags):
     return dataclasses.replace(base, **{**file_section, **given})
 
 
-def _db_to_linear(db: float | None) -> float | None:
-    return None if db is None else 10.0 ** (db / 10.0)
+def _db_to_linear(name: str, db: float | None) -> float | None:
+    """The linear ratio of `db` decibels; one that overflows is refused by name."""
+    try:
+        return None if db is None else 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{name} {db} dB overflows as a linear ratio") from None
 
 
 def _budget_from(args, file_cfg: dict) -> LinkBudget:
     section = {
-        key.removesuffix("_db"): _db_to_linear(value) if key.endswith("_db") else value
+        key.removesuffix("_db"): _db_to_linear(f"budget.{key}", value)
+        if key.endswith("_db") else value
         for key, value in file_cfg.get("budget", {}).items()
     }
-    return _overlay(DEFAULT_BUDGET, section, pilot_snr=_db_to_linear(args.pilot_snr_db),
-                    data_snr=_db_to_linear(args.data_snr_db), pilot_len=args.pilot_len)
+    return _overlay(DEFAULT_BUDGET, section,
+                    pilot_snr=_db_to_linear("--pilot-snr-db", args.pilot_snr_db),
+                    data_snr=_db_to_linear("--data-snr-db", args.data_snr_db),
+                    pilot_len=args.pilot_len)
 
 
 def _tolerances_from(args, file_cfg: dict) -> Tolerances:
@@ -203,11 +210,9 @@ def cmd_curve(args) -> int:
     cfg = _array_from(args, file_cfg)
     grid = RangeGrid(args.r_start, args.r_stop, args.r_points).values()
     # curve output needs no transition radii: evaluate the grid directly
-    records, errors = curve_records(
+    records = curve_records(
         cfg, args.metric, grid, _budget_from(args, file_cfg), _angle_policy_from(args, file_cfg)
     )
-    for message in errors:
-        print(message, file=sys.stderr)
     lines = curve_csv_lines(records)
     if args.out == "-":
         write_lines(lines, sys.stdout)

@@ -13,11 +13,11 @@ from functools import lru_cache
 import numpy as np
 
 from .arrays import (
-    MAX_RANGE_M,
     ArrayConfig,
     PolarPosition,
     distances,
     require_finite,
+    require_ranges,
     require_whole,
 )
 
@@ -287,13 +287,7 @@ def worst_over_angle_batch(
     to (B, T) metric values.
     """
     r_values = np.asarray(r_values, dtype=float)
-    # a range whose square overflows turns the distances to inf and the values to NaN
-    ok = (r_values > 0) & (r_values <= MAX_RANGE_M)
-    if not np.all(ok):
-        bad = float(r_values[~ok][0])
-        raise ValueError(
-            f"ranges must be positive and at most {MAX_RANGE_M!r} m, got {bad!r}"
-        )
+    require_ranges("ranges", r_values)
     if cfg.n_elements == 1:
         return np.zeros_like(r_values), np.zeros_like(r_values)
     thetas = _angle_grid(policy)

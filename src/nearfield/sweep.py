@@ -8,14 +8,9 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .arrays import (
-    MAX_RANGE_M,
-    ArrayConfig,
-    DegenerateGeometryError,
-    require_finite,
-    require_whole,
-)
+from .arrays import ArrayConfig, require_finite, require_ranges, require_whole
 from .boundaries import (
+    MAX_GRID_POINTS,
     BoundarySet,
     EnvelopeSearchPolicy,
     Tolerances,
@@ -63,16 +58,13 @@ class RangeGrid:
     def __post_init__(self) -> None:
         require_finite(self)
         require_whole(self, "points")
-        if self.start <= 0:
-            raise ValueError("start must be positive")
-        if self.points < 1:
-            raise ValueError("points must be a positive integer")
+        require_ranges("start", self.start)
+        if not 1 <= self.points <= MAX_GRID_POINTS:
+            raise ValueError(f"points must lie in [1, {MAX_GRID_POINTS}], got {self.points}")
         # a single-point grid may end at its start, but never below it
         if self.stop < self.start or (self.points >= 2 and self.stop == self.start):
             raise ValueError(f"stop must lie above start {self.start}, got {self.stop}")
-        for name, value in (("start", self.start), ("stop", self.stop)):
-            if value > MAX_RANGE_M:
-                raise ValueError(f"{name} must be at most {MAX_RANGE_M!r} m, got {value}")
+        require_ranges("stop", self.stop)
 
     def values(self) -> np.ndarray:
         return np.geomspace(self.start, self.stop, self.points)
@@ -99,8 +91,9 @@ class SweepSpec:
         if not math.isfinite(self.auto_grid_points):
             raise ValueError(f"auto_grid_points must be finite, got {self.auto_grid_points}")
         require_whole(self, "auto_grid_points")
-        if self.auto_grid_points < 1:
-            raise ValueError("auto_grid_points must be positive")
+        if not 1 <= self.auto_grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"auto_grid_points must lie in [1, {MAX_GRID_POINTS}], "
+                             f"got {self.auto_grid_points}")
 
 
 @dataclass(frozen=True)
@@ -139,38 +132,19 @@ def config_id(cfg: ArrayConfig) -> str:
 
 def curve_records(
     cfg: ArrayConfig, metric: str, grid: np.ndarray, budget: LinkBudget, policy: AngleSearchPolicy
-) -> tuple[list[CurveRecord], list[str]]:
-    """Worst-case curve rows of one metric on a range grid, and per-point errors.
-
-    When the grid holds a range below ~2e-162 m, where the source coincides
-    with an element, each range is evaluated alone and the failing ones
-    become NaN gap markers instead of aborting the curve.  Those rows need
-    not match the whole-grid call bit for bit: an SE row's value and angle
-    depend on the rows that share its kernel block.
-    """
+) -> list[CurveRecord]:
+    """Worst-case curve rows of one metric on a range grid."""
     # module globals, looked up per call, so wrapped names take effect
-    batch = {
-        "linf": lambda rs: e_linf_worst_batch(cfg, rs, policy),
-        "l2": lambda rs: e_l2_worst_batch(cfg, rs, policy),
-        "se": lambda rs: se_loss_worst_batch(cfg, rs, budget, policy),
-    }[metric]
-    errors = []
-    try:
-        values, thetas = batch(grid)
-    except DegenerateGeometryError:
-        values = np.empty(len(grid))
-        thetas = np.empty(len(grid))
-        for i, r in enumerate(grid):
-            try:
-                values[i : i + 1], thetas[i : i + 1] = batch(grid[i : i + 1])
-            except DegenerateGeometryError as exc:
-                values[i] = thetas[i] = math.nan
-                errors.append(f"{config_id(cfg)}/{metric} at r={float(r)!r}: {exc}")
+    values, thetas = {
+        "linf": lambda: e_linf_worst_batch(cfg, grid, policy),
+        "l2": lambda: e_l2_worst_batch(cfg, grid, policy),
+        "se": lambda: se_loss_worst_batch(cfg, grid, budget, policy),
+    }[metric]()
     return [
         CurveRecord(config_id(cfg), cfg.carrier_freq, cfg.n_elements, metric,
                     float(r), float(v), float(t))
         for r, v, t in zip(grid, values, thetas)
-    ], errors
+    ]
 
 
 def _config_job(cfg: ArrayConfig, spec: SweepSpec):
@@ -188,13 +162,12 @@ def _config_job(cfg: ArrayConfig, spec: SweepSpec):
         grid = RangeGrid(r_min, 10.0 * top, spec.auto_grid_points).values()
     except Exception as exc:  # keep other configs alive; surface the failure
         return [], boundary, [f"{cid}: {type(exc).__name__}: {exc}"]
-    curves: list[CurveRecord] = []
-    errors: list[str] = []
-    for metric in spec.metrics:
-        rows, point_errors = curve_records(cfg, metric, grid, spec.budget, spec.angle_policy)
-        curves.extend(rows)
-        errors.extend(point_errors)
-    return curves, boundary, errors
+    curves = [
+        row
+        for metric in spec.metrics
+        for row in curve_records(cfg, metric, grid, spec.budget, spec.angle_policy)
+    ]
+    return curves, boundary, []
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:

@@ -17,7 +17,7 @@ from nearfield import (
     steering_ff,
     steering_nf,
 )
-from nearfield.arrays import MAX_RANGE_M
+from nearfield.arrays import MAX_RANGE_M, MIN_RANGE_M
 
 
 def test_config_invariants():
@@ -51,6 +51,10 @@ def test_position_requires_positive_range():
     PolarPosition(theta=0.3, range_m=MAX_RANGE_M)
     with pytest.raises(ValueError, match="range_m must be at most .* got 1e\\+160"):
         PolarPosition(theta=0.3, range_m=1e160)
+    # and so is one whose square is subnormal or zero
+    PolarPosition(theta=0.3, range_m=MIN_RANGE_M)
+    with pytest.raises(ValueError, match="range_m must be at least .* got 1e-170"):
+        PolarPosition(theta=0.3, range_m=1e-170)
 
 
 def test_element_distance_trivia():

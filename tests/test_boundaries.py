@@ -167,6 +167,8 @@ def test_l2_certification_bound_properties(cfg300):
     just_below = bound * 0.99
     assert (just_below + cfg300.aperture) * small_angle_envelope(cfg300, just_below) > delta
     assert l2_certification_bound(cfg300, 1e-4) > bound
+    # with one element the mismatch is zero everywhere
+    assert l2_certification_bound(ArrayConfig(carrier_freq=300e9, n_elements=1), delta) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -231,6 +233,9 @@ def test_se_gain_bound_closed_form(cfg300):
     )
     with pytest.raises(ValueError):
         se_gain_bound(cfg300, 0.0, DEFAULT_BUDGET)
+    # from delta_se = 1024 on 2^delta_se - 1 overflows, and r_G takes its limit D
+    for delta_se in (1024.0, 2000.0, 1e300):
+        assert se_gain_bound(cfg300, delta_se, DEFAULT_BUDGET) == cfg300.aperture
 
 
 def test_high_snr_se_radius_found_below_the_gain_bound():

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import re
+import time
 import warnings
 from pathlib import Path
 
 import pytest
 
 from nearfield import AngleSearchPolicy, EnvelopeSearchPolicy, Tolerances, cli
+from nearfield.boundaries import MAX_GRID_POINTS
 
 FAST = ["--points-per-decade", "200", "--coarse-angles", "181"]
 RADII = ("rayleigh", "epf", "spf", "sspf", "opt_linf", "opt_l2", "opt_se")
@@ -118,20 +120,15 @@ def test_curve_linf_crosses_tolerance_near_56m(capsys, tmp_path):
     assert 54.0 < max(above) < 57.0
 
 
-def test_curve_gap_marker_below_the_underflow_range(capsys):
-    # at 1e-170 m the reference range R_0 underflows to 0: that row becomes a
-    # NaN gap marker and the rest of the curve is still evaluated
+def test_curve_below_the_smallest_range_exits_2(capsys):
+    # at 1e-170 m the range to element 0 would underflow to 0: the grid's
+    # start is refused by name before anything is evaluated
     code, out, err = run_cli(
         capsys, "curve", "--metric", "linf", "--freq-ghz", "1", "--elements", "2",
         "--r-start", "1e-170", "--r-stop", "1", "--r-points", "4",
     )
-    assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert len(rows) == 4
-    assert rows[0][5:] == ["nan", "nan"]
-    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row[4:])
-    lines = err.splitlines()
-    assert len(lines) == 1 and "element 0" in lines[0] and "r=1e-170" in lines[0]
+    assert code == 2 and not out
+    assert err.startswith("error: start must be at least") and "1e-170" in err
 
 
 def test_se_command_json(capsys):
@@ -155,6 +152,33 @@ def test_se_command_fixed_angle(capsys):
     doc = json.loads(out)
     assert doc["theta_rad"] == pytest.approx(math.radians(60))
     assert doc["theta_is_worst_case"] is False
+
+
+def test_se_text_report_matches_json(capsys):
+    argv = ("se", "--freq-ghz", "10", "--elements", "5", "--range-m", "0.5")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(run_cli(capsys, *argv, "--json")[1])
+    report = dict(line.split(None, 1) for line in out.splitlines())
+    assert list(report) == ["range_m", "theta_rad", "se_opt", "se_mis", "delta_se", "eta",
+                            "gain", "nmse_lower_bound"]
+    assert report["theta_rad"].endswith("(worst-case)")
+    assert report["se_opt"].endswith("bits/s/Hz")
+    for key in ("theta_rad", "se_opt", "se_mis", "delta_se", "eta", "gain", "nmse_lower_bound"):
+        assert float(report[key].split()[0]) == pytest.approx(doc[key], rel=1e-5, abs=1e-9)
+
+
+def test_spacing_flag_overrides_the_config_file(tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps({"array": {"spacing_m": 0.05}}))
+    argv = ["boundaries", "--freq-ghz", "10", "--elements", "5", "--config", str(path)]
+
+    def built(*extra):
+        args = cli.build_parser().parse_args(argv + list(extra))
+        return cli._array_from(args, cli._load_config_file(args.config))
+
+    assert built().spacing == 0.05
+    assert built("--spacing-m", "0.02").spacing == 0.02
 
 
 def test_config_file_precedence(capsys, tmp_path):
@@ -284,6 +308,60 @@ def test_invalid_values_exit_2(capsys, tmp_path):
     assert code == 2 and "range_m" in err and "1e+160" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read config file"),
+        ("[1, 2]", "config file must contain a JSON object"),
+        ('{"search": {}}', "unknown config section 'search'"),
+        ('{"tolerances": 0.001}', "config section 'tolerances' must be an object"),
+        ('{"tolerances": {"delta_inf": "0.001"}}', "tolerances.delta_inf must be a number"),
+        ('{"budget": {"pilot_len": true}}', "budget.pilot_len must be a number"),
+    ],
+    ids=["unreadable", "not-an-object", "unknown-section", "section-not-an-object",
+         "string-value", "bool-value"],
+)
+def test_malformed_config_file_exits_2(capsys, tmp_path, content, message):
+    path = tmp_path / "settings.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(
+        capsys, "se", "--freq-ghz", "10", "--elements", "5", "--range-m", "1",
+        "--config", str(path),
+    )
+    assert code == 2 and not out and message in err
+
+
+def test_oversize_grids_exit_2_at_once(capsys):
+    # a grid above MAX_GRID_POINTS is refused before anything is allocated
+    for argv, name in (
+        (["boundaries", "--freq-ghz", "28", "--elements", "4",
+          "--points-per-decade", "1000000000000"], "points_per_decade"),
+        (["curve", "--metric", "linf", "--freq-ghz", "28", "--elements", "4",
+          "--r-start", "1", "--r-stop", "2", "--r-points", "1000000000000"], "points"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out and err.startswith(f"error: {name} ")
+        assert str(MAX_GRID_POINTS) in err
+
+
+def test_overflowing_decibels_exit_2(capsys, tmp_path):
+    # 10^(dB/10) overflows a float: the flag or config key is named
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"budget": {"pilot_snr_db": 4000}}))
+    for extra, name in (
+        (["--data-snr-db", "1e6"], "--data-snr-db"),
+        (["--pilot-snr-db", "4000"], "--pilot-snr-db"),
+        (["--config", str(path)], "budget.pilot_snr_db"),
+    ):
+        code, out, err = run_cli(
+            capsys, "se", "--freq-ghz", "10", "--elements", "5", "--range-m", "0.5", *extra
+        )
+        assert code == 2 and not out and err.startswith(f"error: {name} ")
+
+
 def test_bad_thread_count_exits_2(capsys, monkeypatch):
     # the worker count is checked once after parsing, so commands that never
     # reach the pool (a fixed angle, one element) reject it as well
@@ -357,6 +435,17 @@ def test_solver_failure_exits_3(capsys):
     )
     assert code == 3
     assert "solver error" in err and "element 1" in err
+
+
+def test_huge_delta_se_leaves_opt_se_at_the_scan_start(capsys):
+    # 2^delta_se - 1 overflows, so the SE gain bound is the aperture itself
+    code, out, err = run_cli(
+        capsys, "boundaries", "--freq-ghz", "28", "--elements", "4", "--delta-se", "2000",
+        "--json", *FAST,
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["boundaries"]["opt_se_m"] == 10 * doc["config"]["spacing_m"]
 
 
 def test_overflowing_scan_ratio_exits_3(capsys, tmp_path):

@@ -24,7 +24,7 @@ from nearfield import (
     spf_distance,
 )
 from nearfield import metrics
-from nearfield.arrays import MAX_RANGE_M, DegenerateGeometryError
+from nearfield.arrays import MAX_RANGE_M, MIN_RANGE_M, DegenerateGeometryError
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
 from nearfield.metrics import (
     _golden_max_batch,
@@ -204,7 +204,8 @@ def test_worst_rejects_nonpositive_range(cfg10_5):
         e_l2_worst,
         lambda cfg, r: se_loss_worst(cfg, r, DEFAULT_BUDGET),
     ):
-        for r in (math.nan, math.inf, -math.inf, math.nextafter(MAX_RANGE_M, math.inf)):
+        for r in (math.nan, math.inf, -math.inf, math.nextafter(MAX_RANGE_M, math.inf),
+                  math.nextafter(MIN_RANGE_M, 0.0)):
             with pytest.raises(ValueError, match="ranges"):
                 worst(cfg10_5, r)
     # the largest range with a finite square still evaluates
@@ -288,18 +289,45 @@ def test_batch_values_do_not_depend_on_thread_count(cfg, monkeypatch):
     assert runs[3] == whole_blocks
 
 
-def test_degenerate_range_in_a_later_block_surfaces_unchanged(cfg10_5, monkeypatch):
-    # below ~2e-162 m the range to element 0 underflows to 0; the block of 64
-    # rows that holds it is the third of four
+def test_too_small_range_in_a_later_block_raises_the_same_error(cfg10_5, monkeypatch):
+    # 1e-170 m squares to 0, so the range to element 0 would be 0; it is
+    # refused before any block runs, although its block is the third of four
     rs = np.geomspace(0.2, 300.0, 200)
     rs[150] = 1e-170
     raised = {}
     for threads in (1, 2):
         monkeypatch.setenv("NEARFIELD_THREADS", str(threads))
-        with pytest.raises(DegenerateGeometryError) as exc:
+        with pytest.raises(ValueError, match="^ranges must be at least .* got 1e-170$") as exc:
             e_linf_worst_batch(cfg10_5, rs)
         raised[threads] = (type(exc.value), str(exc.value))
+    assert raised[1][0] is ValueError
     assert raised[2] == raised[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    freq=st.sampled_from([1e6, 28e9, 1e12]),
+    n_elements=st.integers(2, 9),
+    spacing=st.sampled_from([1e-300, MIN_RANGE_M / 3, MIN_RANGE_M / 2, MIN_RANGE_M, 1.0, 1e100])
+    | st.floats(1e-300, 1e100),
+    free=st.lists(st.floats(MIN_RANGE_M, MAX_RANGE_M), max_size=4),
+)
+def test_worst_case_search_is_never_degenerate_in_the_range_interval(
+    freq, n_elements, spacing, free
+):
+    # every range in [MIN_RANGE_M, MAX_RANGE_M] evaluates, the ends, the
+    # element offsets and their neighbours included; values may overflow
+    cfg = ArrayConfig(carrier_freq=freq, n_elements=n_elements, spacing=spacing)
+    nd = cfg.element_offsets()[1:]
+    near = np.concatenate([nd, np.nextafter(nd, 0.0), np.nextafter(nd, np.inf)])
+    inside = near[(near >= MIN_RANGE_M) & (near <= MAX_RANGE_M)]
+    ranges = np.concatenate([[MIN_RANGE_M, MAX_RANGE_M], inside, free])
+    with np.errstate(all="ignore"):
+        for batch in BATCHES.values():
+            try:
+                batch(cfg, ranges)
+            except DegenerateGeometryError as exc:
+                pytest.fail(f"{cfg} at {ranges}: {exc}")
 
 
 def test_one_block_and_one_worker_run_inline(cfg10_5, monkeypatch):

@@ -6,11 +6,10 @@ import nearfield.sweep as sweep_mod
 from nearfield import (
     AngleSearchPolicy,
     ArrayConfig,
-    DegenerateGeometryError,
     EnvelopeSearchPolicy,
     resolve_r_min,
 )
-from nearfield.link import DEFAULT_BUDGET
+from nearfield.boundaries import MAX_GRID_POINTS
 from nearfield.metrics import worker_count
 from nearfield.sweep import (
     BOUNDARY_HEADER,
@@ -45,6 +44,8 @@ def test_range_grid_validation():
         RangeGrid(start=2.0, stop=1.0, points=5)
     with pytest.raises(ValueError):
         RangeGrid(start=1.0, stop=2.0, points=0)
+    with pytest.raises(ValueError, match="^points must lie in"):
+        RangeGrid(start=1.0, stop=2.0, points=MAX_GRID_POINTS + 1)
     # a single point still needs a stop at or above its start
     for stop in (-5.0, 0.0, 2.0):
         with pytest.raises(ValueError, match="stop"):
@@ -60,6 +61,8 @@ def test_spec_validation(cfg1_2):
         SweepSpec(configs=())
     with pytest.raises(ValueError):
         SweepSpec(configs=(cfg1_2,), metrics=("bogus",))
+    with pytest.raises(ValueError, match="^auto_grid_points must lie in"):
+        SweepSpec(configs=(cfg1_2,), auto_grid_points=MAX_GRID_POINTS + 1)
     SweepSpec(configs=(cfg1_2,), metrics=())  # boundary sets only
 
 
@@ -150,34 +153,6 @@ def test_csv_format(cfg1_2):
     assert blines[1].split(",")[-1] in ("true", "false")
     # 17 significant digits survive the round trip
     assert float(f"{np.pi:.17g}") == np.pi
-
-
-def test_gap_markers_on_per_point_failures(cfg1_2, monkeypatch):
-    real = sweep_mod.e_linf_worst_batch
-    calls = []
-
-    def flaky_batch(cfg, rs, policy=None):
-        calls.append(len(rs))
-        # the whole grid fails, then so does the re-run of its second range
-        if len(rs) > 1 or len(calls) == 3:
-            raise DegenerateGeometryError("forced point failure")
-        return real(cfg, rs, policy)
-
-    monkeypatch.setattr(sweep_mod, "e_linf_worst_batch", flaky_batch)
-    grid = RangeGrid(1.0, 3.0, 3).values()
-    rows, errors = sweep_mod.curve_records(cfg1_2, "linf", grid, DEFAULT_BUDGET, FAST_ANGLES)
-    assert calls == [3, 1, 1, 1]
-    assert len(errors) == 1 and "forced point failure" in errors[0]
-    assert f"r={float(grid[1])!r}" in errors[0]
-    assert np.isnan(rows[1].value) and np.isnan(rows[1].theta_star_rad)
-    assert [row.range_m for row in rows] == list(grid)
-    # the surviving ranges carry the bits of a whole-grid evaluation
-    values, thetas = real(cfg1_2, grid, FAST_ANGLES)
-    for i in (0, 2):
-        assert (rows[i].value, rows[i].theta_star_rad) == (values[i], thetas[i])
-    # NaN gap markers serialize explicitly instead of being dropped
-    line = curve_csv_lines(rows)[2]
-    assert line.endswith(",nan,nan")
 
 
 def test_config_failure_does_not_abort_others(cfg1_2, monkeypatch):
