@@ -22,6 +22,10 @@ MAX_RANGE_M = math.sqrt(sys.float_info.max)
 """Largest range whose square is finite (about 1.34e154 m); every distance
 computation squares the range, so a larger one yields inf and NaN metrics."""
 
+MAX_ELEMENTS = 1_000_000
+"""Largest n_elements an ArrayConfig takes, so no per-element vector
+(channels, steering vectors, distances) reaches gigabytes."""
+
 
 class DegenerateGeometryError(ValueError):
     """The source position coincides with an array element (some R_n == 0)."""
@@ -75,8 +79,8 @@ class ArrayConfig:
         require_whole(self, "n_elements")
         if self.carrier_freq <= 0:
             raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be a positive integer, got {self.n_elements}")
+        if not 1 <= self.n_elements <= MAX_ELEMENTS:
+            raise ValueError(f"n_elements must lie in [1, {MAX_ELEMENTS}], got {self.n_elements}")
         if self.light_speed <= 0:
             raise ValueError(f"light_speed must be positive, got {self.light_speed}")
         if self.spacing is None:

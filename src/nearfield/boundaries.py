@@ -81,10 +81,14 @@ class CubicCoefficients:
         if cfg.n_elements < 2:
             raise ValueError("the cubic needs a nonzero aperture (n_elements >= 2)")
         d_sq = cfg.aperture * cfg.aperture
-        return cls(
-            p=-cfg.wavenumber * d_sq / (2.0 * delta_inf),
-            q=-d_sq / (2.0 * delta_inf),
-        )
+        p = -cfg.wavenumber * d_sq / (2.0 * delta_inf)
+        q = -d_sq / (2.0 * delta_inf)
+        # D^2 under- or overflowed.  p = -inf alone (a tiny delta_inf) puts the
+        # root at inf, which the scans refuse as a horizon (exit 3)
+        if p == 0.0 or q == 0.0 or not math.isfinite(q):
+            raise ValueError(f"aperture {cfg.aperture} m and delta_inf {delta_inf} give cubic "
+                             f"coefficients p = {p}, q = {q} that the closed form cannot evaluate")
+        return cls(p=p, q=q)
 
 
 @dataclass(frozen=True)
@@ -503,6 +507,7 @@ def boundary_set(
             opt_l2_certified=True,
             opt_se_certified=True,
         )
+    block = block_rows(cfg, angle_policy)  # refuses an oversized row before any scan
     sspf = sspf_distance(cfg, tol.delta_inf)
     spf = spf_distance(cfg, tol.delta_inf)
     epf = epf_distance(cfg, tol.delta_inf, envelope_policy)
@@ -512,7 +517,7 @@ def boundary_set(
         return optimal_radius(
             lambda r: point(cfg, r, *args).value, delta, envelope_policy, r_min=r_min,
             batch_metric=lambda rs: batch(cfg, rs, *args)[0],
-            block=block_rows(cfg, angle_policy), **bounds,
+            block=block, **bounds,
         )
 
     opt_linf = solve(e_linf_worst, e_linf_worst_batch, (angle_policy,), tol.delta_inf,

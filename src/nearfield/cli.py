@@ -16,7 +16,7 @@ from .boundaries import (
     Tolerances,
     boundary_set,
 )
-from .link import LinkBudget, DEFAULT_BUDGET, nmse_lower_bound, se_loss, se_loss_worst
+from .link import LinkBudget, DEFAULT_BUDGET, se_loss, se_loss_worst
 from .metrics import THETA_OPEN_MIN, AngleSearchPolicy, worker_count
 from .sweep import (
     METRIC_NAMES,
@@ -26,7 +26,7 @@ from .sweep import (
     boundary_csv_lines,
     config_id,
     curve_csv_lines,
-    curve_records,
+    metric_curve,
     preset,
     radius_columns,
     run_sweep,
@@ -88,11 +88,14 @@ def _overlay(base, file_section: dict, **flags):
 
 
 def _db_to_linear(name: str, db: float | None) -> float | None:
-    """The linear ratio of `db` decibels; one that overflows is refused by name."""
+    """The linear ratio of `db` decibels; one that overflows or is 0 is refused by name."""
     try:
-        return None if db is None else 10.0 ** (db / 10.0)
+        linear = None if db is None else 10.0 ** (db / 10.0)
     except OverflowError:
         raise ValueError(f"{name} {db} dB overflows as a linear ratio") from None
+    if linear == 0.0:
+        raise ValueError(f"{name} {db} dB underflows to a zero linear ratio")
+    return linear
 
 
 def _budget_from(args, file_cfg: dict) -> LinkBudget:
@@ -210,10 +213,10 @@ def cmd_curve(args) -> int:
     cfg = _array_from(args, file_cfg)
     grid = RangeGrid(args.r_start, args.r_stop, args.r_points).values()
     # curve output needs no transition radii: evaluate the grid directly
-    records = curve_records(
+    curve = metric_curve(
         cfg, args.metric, grid, _budget_from(args, file_cfg), _angle_policy_from(args, file_cfg)
     )
-    lines = curve_csv_lines(records)
+    lines = curve_csv_lines([curve])
     if args.out == "-":
         write_lines(lines, sys.stdout)
     else:
@@ -236,7 +239,6 @@ def cmd_se(args) -> int:
         # re-evaluate without touching the array axis
         theta = max(worst.theta_star, THETA_OPEN_MIN)
         report = se_loss(cfg, PolarPosition(theta=theta, range_m=args.range_m), budget)
-    nmse = nmse_lower_bound(cfg, PolarPosition(theta=theta, range_m=args.range_m), budget)
     if args.json:
         doc = {
             "schema": 1,
@@ -248,7 +250,7 @@ def cmd_se(args) -> int:
             "delta_se": report.delta_se,
             "eta": report.eta,
             "gain": report.gain,
-            "nmse_lower_bound": nmse,
+            "nmse_lower_bound": report.nmse_floor,
         }
         print(json.dumps(doc, indent=2))
         return EXIT_OK
@@ -260,7 +262,7 @@ def cmd_se(args) -> int:
     print(f"delta_se          {report.delta_se:.6g} bits/s/Hz")
     print(f"eta               {report.eta:.9g}")
     print(f"gain              {report.gain:.9g}")
-    print(f"nmse_lower_bound  {nmse:.9g}")
+    print(f"nmse_lower_bound  {report.nmse_floor:.9g}")
     return EXIT_OK
 
 
@@ -275,32 +277,35 @@ def cmd_reproduce(args) -> int:
     )
     out_dir = Path(args.out_dir) / args.preset
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_sweep(spec)
-    for message in result.errors:
-        print(message, file=sys.stderr)
-    for cfg in spec.configs:
-        cid = config_id(cfg)
-        for metric in spec.metrics:
-            records = [c for c in result.curves if c.config_id == cid and c.metric == metric]
-            with open(out_dir / f"curve_{cid}_{metric}.csv", "w", encoding="utf-8") as fh:
-                write_lines(curve_csv_lines(records), fh)
+    results = run_sweep(spec)
+    for rec in results:
+        # curves come in metric order; a failed config may stop short of them
+        for i, metric in enumerate(spec.metrics):
+            name = f"curve_{config_id(rec.cfg)}_{metric}.csv"
+            with open(out_dir / name, "w", encoding="utf-8") as fh:
+                write_lines(curve_csv_lines(rec.curves[i : i + 1]), fh)
     with open(out_dir / "boundaries.csv", "w", encoding="utf-8") as fh:
-        write_lines(boundary_csv_lines(result.boundaries), fh)
+        write_lines(boundary_csv_lines(results), fh)
     references = REFERENCE_RADII.get(args.preset, {})
     primary = spec.metrics[0]
-    for record in result.boundaries:
-        value = getattr(record.bounds, f"opt_{primary}")
-        certified = getattr(record.bounds, f"opt_{primary}_certified")
-        line = f"opt_{primary}({record.config_id}) = {value:.6g} m"
-        if record.config_id in references:
-            ref = references[record.config_id][1]
-            diff = 100.0 * (value - ref) / ref
-            line += f" (reference: {ref:g} m, diff {diff:+.2f}%)"
-        if not certified:
+    for rec in results:
+        if rec.bounds is None:
+            continue
+        cid, value = config_id(rec.cfg), getattr(rec.bounds, f"opt_{primary}")
+        line = f"opt_{primary}({cid}) = {value:.6g} m"
+        if cid in references:
+            ref = references[cid]
+            line += f" (reference: {ref:g} m, diff {100.0 * (value - ref) / ref:+.2f}%)"
+        if not getattr(rec.bounds, f"opt_{primary}_certified"):
             line += " [not certified; qualitative, depends on the link budget]"
         print(line)
     print(f"wrote {len(spec.configs) * len(spec.metrics)} curve files and boundaries.csv "
           f"to {out_dir}")
+    failed = [rec for rec in results if rec.error is not None]
+    for rec in failed:
+        print(f"{config_id(rec.cfg)}: {type(rec.error).__name__}: {rec.error}", file=sys.stderr)
+    if failed:
+        raise failed[0].error  # main maps its class to the exit code
     return EXIT_OK
 
 

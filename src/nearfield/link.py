@@ -49,13 +49,14 @@ loss there clears the presets' 0.5 bits/s/Hz budget.  Always overridable."""
 
 @dataclass(frozen=True)
 class SEReport:
-    """Matched-filter vs mismatched-combiner spectral efficiencies at one position."""
+    """Matched-filter vs mismatched-combiner SE, and the NMSE floor, at one position."""
 
     se_opt: float
     se_mis: float
     delta_se: float
     eta: float
     gain: float
+    nmse_floor: float
 
 
 def channel_gain(cfg: ArrayConfig, pos: PolarPosition) -> float:
@@ -100,7 +101,8 @@ def se_loss(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> SERepor
     eta = array_gain_efficiency(cfg, pos)
     se_opt = se_optimal(gain, budget)
     se_mis = math.log1p(snr_mismatched(gain, eta, budget)) / _LN2
-    return SEReport(se_opt=se_opt, se_mis=se_mis, delta_se=se_opt - se_mis, eta=eta, gain=gain)
+    return SEReport(se_opt=se_opt, se_mis=se_mis, delta_se=se_opt - se_mis, eta=eta, gain=gain,
+                    nmse_floor=(1.0 - eta) + 1.0 / (budget.pilot_len * budget.pilot_snr * gain))
 
 
 def _se_loss_grid(budget: LinkBudget):
@@ -143,9 +145,7 @@ def se_loss_worst_batch(
 
 def nmse_lower_bound(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> float:
     """Floor of the planar-constrained estimator's NMSE: (1 - eta) + noise term."""
-    eta = array_gain_efficiency(cfg, pos)
-    noise = 1.0 / (budget.pilot_len * budget.pilot_snr * channel_gain(cfg, pos))
-    return (1.0 - eta) + noise
+    return se_loss(cfg, pos, budget).nmse_floor
 
 
 def nmse_bias_approx(e_l2_value: float) -> float:

@@ -42,6 +42,13 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # cap per-block tensor size in the batched evaluator (elements, not bytes)
 _BLOCK_BUDGET = 2_000_000
 
+MAX_ROW_CELLS = _BLOCK_BUDGET
+"""Largest (search angles x n_elements) kernel row a worst-case search takes;
+a kernel block holds at least one row, so one row may fill the block budget."""
+
+MAX_ANGLE_POINTS = 1_000_000
+"""Largest coarse angle grid (AngleSearchPolicy.coarse_grid_points)."""
+
 # cap per-slab tensor size of the coarse pass inside a block (elements), so a
 # grid_fn call's (rows, angles, elements) temporaries stay near cache size
 _SLAB_BUDGET = 65_536
@@ -118,8 +125,9 @@ class AngleSearchPolicy:
     def __post_init__(self) -> None:
         require_finite(self)
         require_whole(self, "coarse_grid_points", "refine_max_iter")
-        if self.coarse_grid_points < 3:
-            raise ValueError("coarse_grid_points must be at least 3")
+        if not 3 <= self.coarse_grid_points <= MAX_ANGLE_POINTS:
+            raise ValueError(f"coarse_grid_points must lie in [3, {MAX_ANGLE_POINTS}], "
+                             f"got {self.coarse_grid_points}")
         if self.refine_tolerance <= 0:
             raise ValueError("refine_tolerance must be positive")
         if self.refine_max_iter < 1:
@@ -267,8 +275,12 @@ def _angle_grid(policy: AngleSearchPolicy) -> np.ndarray:
 def block_rows(cfg: ArrayConfig, policy: AngleSearchPolicy) -> int:
     """Rows per kernel block: worst_over_angle_batch splits its ranges into
     blocks of this many from the first, and a row's bits depend on the rows
-    that share its block."""
-    return max(1, min(64, _BLOCK_BUDGET // (len(_angle_grid(policy)) * cfg.n_elements)))
+    that share its block.  A row above MAX_ROW_CELLS is refused."""
+    row = len(_angle_grid(policy)) * cfg.n_elements
+    if row > MAX_ROW_CELLS:
+        raise ValueError(f"n_elements {cfg.n_elements} x coarse angles is {row} cells per kernel "
+                         f"row, more than MAX_ROW_CELLS = {MAX_ROW_CELLS}")
+    return min(64, _BLOCK_BUDGET // row)
 
 
 def _clamped_cos(theta: np.ndarray) -> np.ndarray:

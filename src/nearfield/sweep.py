@@ -41,9 +41,8 @@ PRESET_NAMES = ("fig2-linf", "fig2-l2", "fig3-se")
 
 # externally cited radii the presets are expected to land on, for summaries
 REFERENCE_RADII = {
-    "fig2-linf": {"300GHz-N64": ("opt_linf_m", 56.0013)},
-    "fig2-l2": {"300GHz-N64": ("opt_l2_m", 1422.18)},
-    "fig3-se": {},
+    "fig2-linf": {"300GHz-N64": 56.0013},
+    "fig2-l2": {"300GHz-N64": 1422.18},
 }
 
 
@@ -97,124 +96,98 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class CurveRecord:
-    """One evaluated point of a worst-case metric curve."""
+class Curve:
+    """A worst-case metric curve of one configuration: the value and the
+    maximizing look angle at each range of a grid."""
 
-    config_id: str
-    freq_hz: float
-    n_elements: int
+    cfg: ArrayConfig
     metric: str
-    range_m: float
-    value: float
-    theta_star_rad: float
+    ranges: np.ndarray
+    values: np.ndarray
+    thetas: np.ndarray
 
 
 @dataclass(frozen=True)
-class BoundaryRecord:
-    """The transition radii of one configuration, tagged for serialization."""
+class ConfigSweep:
+    """What a sweep computed for one configuration.  A failed configuration
+    keeps the radii and curves finished before `error` stopped it."""
 
-    config_id: str
-    freq_hz: float
-    n_elements: int
-    bounds: BoundarySet
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    curves: tuple[CurveRecord, ...]
-    boundaries: tuple[BoundaryRecord, ...]
-    errors: tuple[str, ...]
+    cfg: ArrayConfig
+    bounds: BoundarySet | None
+    curves: tuple[Curve, ...]
+    error: Exception | None
 
 
 def config_id(cfg: ArrayConfig) -> str:
     return f"{cfg.carrier_freq / 1e9:g}GHz-N{cfg.n_elements}"
 
 
-def curve_records(
+def metric_curve(
     cfg: ArrayConfig, metric: str, grid: np.ndarray, budget: LinkBudget, policy: AngleSearchPolicy
-) -> list[CurveRecord]:
-    """Worst-case curve rows of one metric on a range grid."""
+) -> Curve:
+    """The worst-case curve of one metric on a range grid."""
     # module globals, looked up per call, so wrapped names take effect
     values, thetas = {
         "linf": lambda: e_linf_worst_batch(cfg, grid, policy),
         "l2": lambda: e_l2_worst_batch(cfg, grid, policy),
         "se": lambda: se_loss_worst_batch(cfg, grid, budget, policy),
     }[metric]()
-    return [
-        CurveRecord(config_id(cfg), cfg.carrier_freq, cfg.n_elements, metric,
-                    float(r), float(v), float(t))
-        for r, v, t in zip(grid, values, thetas)
-    ]
+    return Curve(cfg, metric, grid, values, thetas)
 
 
-def _config_job(cfg: ArrayConfig, spec: SweepSpec):
-    cid = config_id(cfg)
-    boundary: BoundaryRecord | None = None
+def _config_job(cfg: ArrayConfig, spec: SweepSpec) -> ConfigSweep:
+    bounds, curves, error = None, [], None
     try:
         bounds = boundary_set(
             cfg, spec.tolerances, spec.budget, spec.angle_policy, spec.envelope_policy
         )
-        boundary = BoundaryRecord(
-            config_id=cid, freq_hz=cfg.carrier_freq, n_elements=cfg.n_elements, bounds=bounds
-        )
         r_min = resolve_r_min(cfg, spec.envelope_policy)
         top = max(bounds.rayleigh, bounds.epf, bounds.spf, bounds.sspf, r_min)
         grid = RangeGrid(r_min, 10.0 * top, spec.auto_grid_points).values()
-    except Exception as exc:  # keep other configs alive; surface the failure
-        return [], boundary, [f"{cid}: {type(exc).__name__}: {exc}"]
-    curves = [
-        row
-        for metric in spec.metrics
-        for row in curve_records(cfg, metric, grid, spec.budget, spec.angle_policy)
-    ]
-    return curves, boundary, []
+        for metric in spec.metrics:
+            curves.append(metric_curve(cfg, metric, grid, spec.budget, spec.angle_policy))
+    except Exception as exc:  # keep other configs alive; record the failure
+        error = exc.with_traceback(None)  # its frames would keep the arrays alive
+    return ConfigSweep(cfg, bounds, tuple(curves), error)
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every (config, metric) curve and a boundary set per config.
+def run_sweep(spec: SweepSpec) -> list[ConfigSweep]:
+    """Boundary set and one curve per metric for every configuration, one
+    record per configuration in config order.
 
     Configurations run through `metrics.parallel_map`, their kernel calls
-    inline on its workers; output order is fixed by (config order, metric
-    order, range), so results are identical for any worker count.
+    inline on its workers, so results are identical for any worker count.
     """
-    jobs = parallel_map(lambda cfg: _config_job(cfg, spec), spec.configs)
-    curves: list[CurveRecord] = []
-    boundaries: list[BoundaryRecord] = []
-    errors: list[str] = []
-    for job_curves, boundary, job_errors in jobs:
-        curves.extend(job_curves)
-        if boundary is not None:
-            boundaries.append(boundary)
-        errors.extend(job_errors)
-    return SweepResult(curves=tuple(curves), boundaries=tuple(boundaries), errors=tuple(errors))
+    return parallel_map(lambda cfg: _config_job(cfg, spec), spec.configs)
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
+def _config_cells(cfg: ArrayConfig) -> str:
+    """The `config_id,freq_hz,n_elements` cells that start every CSV row."""
+    return f"{config_id(cfg)},{_fmt(cfg.carrier_freq)},{cfg.n_elements}"
 
 
-def curve_csv_lines(curves: Iterable[CurveRecord]) -> list[str]:
+def curve_csv_lines(curves: Iterable[Curve]) -> list[str]:
     lines = [CURVE_HEADER]
-    lines.extend(
-        f"{c.config_id},{_fmt(c.freq_hz)},{c.n_elements},{c.metric},"
-        f"{_fmt(c.range_m)},{_fmt(c.value)},{_fmt(c.theta_star_rad)}"
-        for c in curves
-    )
+    for c in curves:
+        head = f"{_config_cells(c.cfg)},{c.metric}"
+        lines.extend(
+            f"{head},{_fmt(r)},{_fmt(v)},{_fmt(t)}" for r, v, t in zip(c.ranges, c.values, c.thetas)
+        )
     return lines
 
 
-def boundary_csv_lines(records: Iterable[BoundaryRecord]) -> list[str]:
+def boundary_csv_lines(records: Iterable[ConfigSweep]) -> list[str]:
+    """The boundary CSV of every record that has radii."""
     lines = [BOUNDARY_HEADER]
     for rec in records:
-        radii = ",".join(_fmt(v) for v in radius_columns(rec.bounds).values())
-        lines.append(
-            f"{rec.config_id},{_fmt(rec.freq_hz)},{rec.n_elements},{radii},"
-            f"{_bool(rec.bounds.opt_se_certified)}"
-        )
+        if rec.bounds is not None:
+            radii = ",".join(_fmt(v) for v in radius_columns(rec.bounds).values())
+            certified = "true" if rec.bounds.opt_se_certified else "false"
+            lines.append(f"{_config_cells(rec.cfg)},{radii},{certified}")
     return lines
 
 

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from nearfield import AngleSearchPolicy, EnvelopeSearchPolicy, Tolerances, cli
+import nearfield.link as link_mod
+import nearfield.sweep as sweep_mod
+from nearfield import AngleSearchPolicy, EnvelopeSearchPolicy, HorizonExceededError, Tolerances, cli
+from nearfield.arrays import MAX_ELEMENTS
 from nearfield.boundaries import MAX_GRID_POINTS
+from nearfield.metrics import MAX_ANGLE_POINTS, MAX_ROW_CELLS
 
 FAST = ["--points-per-decade", "200", "--coarse-angles", "181"]
 RADII = ("rayleigh", "epf", "spf", "sspf", "opt_linf", "opt_l2", "opt_se")
@@ -347,6 +351,85 @@ def test_oversize_grids_exit_2_at_once(capsys):
         assert str(MAX_GRID_POINTS) in err
 
 
+def test_oversize_arrays_and_angle_grids_exit_2_at_once(capsys):
+    # an element count, an angle grid or a kernel row above its limit is
+    # refused before anything of that size is allocated
+    curve = ["curve", "--metric", "linf", "--freq-ghz", "28", "--elements", "4",
+             "--r-start", "1", "--r-stop", "2", "--r-points", "3"]
+    for argv, name, limit in (
+        (["boundaries", "--freq-ghz", "28", "--elements", "100000000"],
+         "n_elements", MAX_ELEMENTS),
+        (["se", "--freq-ghz", "28", "--elements", "100000000", "--range-m", "3",
+          "--theta-deg", "3"], "n_elements", MAX_ELEMENTS),
+        ([*curve, "--coarse-angles", "1000000000000"], "coarse_grid_points", MAX_ANGLE_POINTS),
+        (["boundaries", "--freq-ghz", "28", "--elements", "3000"], "n_elements", MAX_ROW_CELLS),
+        (["se", "--freq-ghz", "28", "--elements", "1000000", "--range-m", "3"],
+         "n_elements", MAX_ROW_CELLS),
+        ([*curve, "--coarse-angles", "900000"], "n_elements", MAX_ROW_CELLS),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out and err.startswith(f"error: {name} ")
+        assert str(limit) in err
+
+
+def test_apertures_the_cubic_cannot_evaluate_exit_2(capsys):
+    # D^2 underflows to 0 (spacing 1e-300) or overflows (spacing 1e200, a
+    # 1e-291 Hz carrier): the cubic's coefficients are refused by name
+    for array in (
+        ["--freq-ghz", "28", "--spacing-m", "1e-300"],
+        ["--freq-ghz", "28", "--spacing-m", "1e200"],
+        ["--freq-ghz", "1e-300"],
+    ):
+        code, out, err = run_cli(capsys, "boundaries", "--elements", "4", *array)
+        assert code == 2 and not out
+        assert err.startswith("error: aperture ") and "delta_inf 0.001" in err
+
+
+def test_underflowing_decibels_exit_2(capsys, tmp_path):
+    # 10^(dB/10) underflows to 0: the flag or config key is named instead of
+    # a zero SNR passing through (data) or a nameless refusal (pilot)
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({"budget": {"data_snr_db": -4000}}))
+    for command in (["se", "--range-m", "0.5", "--json"], ["boundaries", *FAST]):
+        for extra, name in (
+            (["--data-snr-db", "-4000"], "--data-snr-db"),
+            (["--pilot-snr-db", "-4000"], "--pilot-snr-db"),
+            (["--config", str(path)], "budget.data_snr_db"),
+        ):
+            code, out, err = run_cli(
+                capsys, command[0], "--freq-ghz", "10", "--elements", "5", *command[1:], *extra
+            )
+            assert code == 2 and not out and err.startswith(f"error: {name} ")
+            assert "underflows" in err
+    # a tiny ratio that is still positive passes
+    code, _, _ = run_cli(capsys, "se", "--freq-ghz", "10", "--elements", "5", "--range-m", "0.5",
+                         "--data-snr-db", "-3000")
+    assert code == 0
+
+
+def test_se_evaluates_eta_and_gain_once(capsys, monkeypatch):
+    # the NMSE floor comes from the report's eta and gain, not a second pass
+    calls = []
+
+    def counting(name):
+        real = getattr(link_mod, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("array_gain_efficiency", "channel_gain"):
+        monkeypatch.setattr(link_mod, name, counting(name))
+    for extra in ([], ["--theta-deg", "3"]):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "se", "--freq-ghz", "28", "--elements", "16",
+                               "--range-m", "0.2", "--json", *extra)
+        assert code == 0
+        assert sorted(calls) == ["array_gain_efficiency", "channel_gain"]
+        doc = json.loads(out)
+        pilot_energy = 64 * 1e4
+        assert doc["nmse_lower_bound"] == (1.0 - doc["eta"]) + 1.0 / (pilot_energy * doc["gain"])
+
+
 def test_overflowing_decibels_exit_2(capsys, tmp_path):
     # 10^(dB/10) overflows a float: the flag or config key is named
     path = tmp_path / "budget.json"
@@ -474,6 +557,54 @@ def test_reproduce_bundle(capsys, tmp_path):
     assert "not certified" in out
     body = (bundle / "boundaries.csv").read_text().splitlines()
     assert len(body) == 4
+
+
+def test_reproduce_refused_everywhere_exits_2(capsys, tmp_path):
+    # every config fails on the scan grid: the bundle holds headers only,
+    # each config is named on stderr, and the exit code is the first failure's
+    code, out, err = run_cli(
+        capsys, "reproduce", "fig3-se", "--out-dir", str(tmp_path),
+        "--points-per-decade", "1000000000000",
+    )
+    assert code == 2
+    assert out.splitlines() == [f"wrote 3 curve files and boundaries.csv to {tmp_path / 'fig3-se'}"]
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["1GHz-N2", "10GHz-N5", "300GHz-N10"]
+    assert all("points_per_decade" in line for line in lines)
+    assert lines[3].startswith("error: points_per_decade")
+    bundle = tmp_path / "fig3-se"
+    assert len(list(bundle.iterdir())) == 4
+    assert all(len(path.read_text().splitlines()) == 1 for path in bundle.iterdir())
+
+
+def test_reproduce_solver_failure_exits_3_and_writes_the_bundle(capsys, tmp_path, monkeypatch):
+    real = sweep_mod.boundary_set
+
+    def failing_boundary_set(cfg, *args, **kwargs):
+        if cfg.n_elements == 5:
+            raise HorizonExceededError("forced horizon failure")
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "boundary_set", failing_boundary_set)
+    code, out, err = run_cli(
+        capsys, "reproduce", "fig3-se", "--out-dir", str(tmp_path),
+        "--points-per-decade", "100", "--curve-points", "12", "--coarse-angles", "121",
+    )
+    assert code == 3
+    assert err.splitlines() == [
+        "10GHz-N5: HorizonExceededError: forced horizon failure",
+        "solver error: forced horizon failure",
+    ]
+    # the other configs keep their summary lines, radii and curves
+    assert [line.split(" =")[0] for line in out.splitlines()[:2]] == [
+        "opt_se(1GHz-N2)", "opt_se(300GHz-N10)",
+    ]
+    bundle = tmp_path / "fig3-se"
+    rows = (bundle / "boundaries.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["1GHz-N2", "300GHz-N10"]
+    assert len((bundle / "curve_10GHz-N5_se.csv").read_text().splitlines()) == 1
+    for cid in ("1GHz-N2", "300GHz-N10"):
+        assert len((bundle / f"curve_{cid}_se.csv").read_text().splitlines()) == 13
 
 
 def test_readme_lists_every_config_key():

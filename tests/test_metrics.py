@@ -168,6 +168,17 @@ def test_worst_value_dominates_own_grid(cfg10_5):
         assert e_linf_worst(cfg10_5, r, policy).value >= grid_values.max()
 
 
+def test_kernel_rows_above_the_cell_limit_are_refused():
+    # the paper's 1 m array at 300 GHz (N = 2,048) fits one row per block at
+    # the default angles; one more order of magnitude is refused by name
+    assert block_rows(ArrayConfig(carrier_freq=300e9, n_elements=2048), AngleSearchPolicy()) == 1
+    big = ArrayConfig(carrier_freq=300e9, n_elements=20_000)
+    with pytest.raises(ValueError, match="^n_elements 20000 x .*MAX_ROW_CELLS"):
+        block_rows(big, AngleSearchPolicy())
+    with pytest.raises(ValueError, match="^n_elements 20000 "):
+        e_linf_worst_batch(big, [1.0])
+
+
 def test_block_rows_is_the_kernel_block(cfg10_5, monkeypatch):
     # 723 angles: 64-row blocks below 44 elements, 43 rows at N = 64
     cfg64 = ArrayConfig(carrier_freq=300e9, n_elements=64)

@@ -91,40 +91,43 @@ def test_worker_count(monkeypatch):
 
 
 def test_empty_metrics_yields_boundaries_only(cfg1_2):
-    result = run_sweep(fast_spec([cfg1_2], []))
-    assert result.curves == ()
-    assert len(result.boundaries) == 1
-    assert result.boundaries[0].config_id == config_id(cfg1_2)
-    assert not result.errors
+    [record] = run_sweep(fast_spec([cfg1_2], []))
+    assert record.cfg is cfg1_2
+    assert record.curves == ()
+    assert record.bounds is not None
+    assert record.error is None
 
 
 def test_single_point_grid_one_record_per_curve(cfg1_2, cfg10_5):
     spec = fast_spec([cfg1_2, cfg10_5], ["linf", "l2"], points=1)
-    result = run_sweep(spec)
-    assert len(result.curves) == 4  # one point per (config, metric)
-    starts = {config_id(c): resolve_r_min(c, FAST_ENVELOPE) for c in (cfg1_2, cfg10_5)}
-    for record in result.curves:
-        assert record.range_m == starts[record.config_id]
+    records = run_sweep(spec)
+    assert [r.cfg for r in records] == [cfg1_2, cfg10_5]
+    for record in records:
+        assert [c.metric for c in record.curves] == ["linf", "l2"]
+        for curve in record.curves:  # one point per (config, metric)
+            assert curve.cfg is record.cfg
+            assert list(curve.ranges) == [resolve_r_min(record.cfg, FAST_ENVELOPE)]
+            assert len(curve.values) == len(curve.thetas) == 1
 
 
 def test_curves_sorted_and_increasing(cfg1_2):
     spec = fast_spec([cfg1_2], ["linf", "se"], points=9)
-    result = run_sweep(spec)
-    assert len(result.curves) == 18
-    linf = [c for c in result.curves if c.metric == "linf"]
-    ranges = [c.range_m for c in linf]
-    assert ranges == sorted(ranges) and len(set(ranges)) == len(ranges)
-    assert {c.metric for c in result.curves} == {"linf", "se"}
+    [record] = run_sweep(spec)
+    assert [c.metric for c in record.curves] == ["linf", "se"]
+    for curve in record.curves:
+        assert len(curve.ranges) == len(curve.values) == len(curve.thetas) == 9
+        assert np.all(np.diff(curve.ranges) > 0)
+    np.testing.assert_array_equal(record.curves[0].ranges, record.curves[1].ranges)
 
 
 def test_curve_never_again_against_own_samples(cfg10_5):
     spec = fast_spec([cfg10_5], ["linf"])
-    result = run_sweep(spec)
-    bounds = result.boundaries[0].bounds
+    [record] = run_sweep(spec)
+    [curve] = record.curves
     tol = spec.tolerances.delta_inf
-    beyond = [c for c in result.curves if c.range_m > bounds.opt_linf]
-    assert beyond, "auto grid must extend past the optimal radius"
-    assert all(c.value < tol for c in beyond)
+    beyond = curve.ranges > record.bounds.opt_linf
+    assert beyond.any(), "auto grid must extend past the optimal radius"
+    assert np.all(curve.values[beyond] < tol)
 
 
 def test_determinism_same_spec_and_thread_count(cfg1_2, cfg10_5, monkeypatch):
@@ -133,23 +136,26 @@ def test_determinism_same_spec_and_thread_count(cfg1_2, cfg10_5, monkeypatch):
     first = run_sweep(spec)
     monkeypatch.setenv("NEARFIELD_THREADS", "4")
     second = run_sweep(spec)
-    assert curve_csv_lines(first.curves) == curve_csv_lines(second.curves)
-    assert boundary_csv_lines(first.boundaries) == boundary_csv_lines(second.boundaries)
+    for a, b in zip(first, second, strict=True):
+        assert curve_csv_lines(a.curves) == curve_csv_lines(b.curves)
+    assert boundary_csv_lines(first) == boundary_csv_lines(second)
 
 
 def test_csv_format(cfg1_2):
     spec = fast_spec([cfg1_2], ["linf"], points=2)
-    result = run_sweep(spec)
-    lines = curve_csv_lines(result.curves)
+    [record] = run_sweep(spec)
+    lines = curve_csv_lines(record.curves)
     assert lines[0] == CURVE_HEADER
+    assert len(lines) == 3
     fields = lines[1].split(",")
     assert fields[0] == "1GHz-N2"
     assert fields[1] == "1000000000"
     assert fields[2] == "2"
     assert fields[3] == "linf"
     assert float(fields[4]) == resolve_r_min(cfg1_2, FAST_ENVELOPE)
-    blines = boundary_csv_lines(result.boundaries)
+    blines = boundary_csv_lines([record])
     assert blines[0] == BOUNDARY_HEADER
+    assert blines[1].split(",")[:3] == ["1GHz-N2", "1000000000", "2"]
     assert blines[1].split(",")[-1] in ("true", "false")
     # 17 significant digits survive the round trip
     assert float(f"{np.pi:.17g}") == np.pi
@@ -167,12 +173,16 @@ def test_config_failure_does_not_abort_others(cfg1_2, monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "boundary_set", failing_boundary_set)
     spec = fast_spec([good, bad], ["linf"], points=2)
-    result = run_sweep(spec)
-    assert len(result.boundaries) == 1
-    assert result.boundaries[0].config_id == config_id(good)
-    assert any("forced config failure" in e for e in result.errors)
-    # a config's grid is laid from its radii, so the failed config yields no curve rows
-    assert {c.config_id for c in result.curves} == {config_id(good)}
+    ok, failed = run_sweep(spec)
+    assert ok.cfg is good and ok.error is None
+    assert ok.bounds is not None and [c.metric for c in ok.curves] == ["linf"]
+    assert failed.cfg is bad and failed.bounds is None
+    assert "forced config failure" in str(failed.error)
+    # the record keeps the exception but not the frames that raised it
+    assert failed.error.__traceback__ is None
+    # a config's grid is laid from its radii, so the failed config yields no curves
+    assert failed.curves == ()
+    assert boundary_csv_lines([ok, failed])[1:] == boundary_csv_lines([ok])[1:]
 
 
 def test_presets():
