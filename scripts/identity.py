@@ -1,0 +1,253 @@
+"""Record the program's outputs over a fixed set of inputs, and compare two records.
+
+    python3 scripts/identity.py record OUT.json [--tree PATH] [--threads 1,2] [--quick]
+    python3 scripts/identity.py compare A.json B.json
+
+`record` runs the fixed set once per thread count, each time in a fresh
+interpreter that imports nearfield from PATH/src (default: this checkout)
+with NEARFIELD_THREADS set to that count.  It writes every radius and value
+as `repr`, every cell of every CSV file the CLI writes, and the SHA-256 of
+every output file and of every command's stdout and stderr.  It exits 1
+after writing OUT.json when an entry differs between thread counts, and
+lists those entries on stderr; it exits 2 when a run fails.  `compare` lists every entry that moved from
+A to B, old -> new with its relative change, prints the count, and exits 1
+when anything moved.  A parent tree to record comes from `git archive`.
+
+The fixed set:
+
+- boundary_set at 1, 10, 28, 60, 140 and 300 GHz x N = 2, 4, 5, 10, 16, 44,
+  48, 64 x tolerance scales 0.1, 1 and 10 of the defaults (144 solves);
+- l2_certification_bound at those six carriers x N = 4 and 64, and three
+  epf_distance values;
+- `reproduce fig3-se`, and `fig2-linf` and `fig2-l2` at
+  `--points-per-decade 150 --coarse-angles 181 --curve-points 50`;
+- `curve` CSVs for linf, l2 and se at 28 GHz, N = 4, 16 and 64;
+- `se --json` at a fixed angle and at the worst-case angle;
+- `boundaries --json` at 300 GHz / 64 elements.
+
+`--quick` keeps two solves at 28 GHz, one bound of each kind, one curve and
+one call of each of `se` and `boundaries`, at reduced search densities.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import dataclasses
+import hashlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CARRIERS_GHZ = (1, 10, 28, 60, 140, 300)
+ELEMENTS = (2, 4, 5, 10, 16, 44, 48, 64)
+TOLERANCE_SCALES = (0.1, 1, 10)
+FAST = ["--points-per-decade", "150", "--coarse-angles", "181"]
+
+
+def _solves(quick: bool):
+    if quick:
+        return [(28, n, 1) for n in (4, 16)]
+    return [(f, n, s) for f in CARRIERS_GHZ for n in ELEMENTS for s in TOLERANCE_SCALES]
+
+
+def _cli_calls(quick: bool):
+    """(label, argv) of every CLI call; output paths are relative to the run directory."""
+    if quick:
+        return [
+            ("curve-se-28GHz-N4", ["curve", "--metric", "se", "--freq-ghz", "28", "--elements",
+                                   "4", "--r-start", "0.05", "--r-stop", "50", "--r-points",
+                                   "20", "--coarse-angles", "181", "--out", "curve.csv"]),
+            ("se-28GHz-N4-30deg", ["se", "--freq-ghz", "28", "--elements", "4", "--range-m",
+                                   "0.2", "--theta-deg", "30", "--json"]),
+            ("boundaries-28GHz-N4", ["boundaries", "--freq-ghz", "28", "--elements", "4",
+                                     "--json", *FAST]),
+        ]
+    calls = [("reproduce-fig3-se", ["reproduce", "fig3-se", "--out-dir", "out"])]
+    calls += [
+        (f"reproduce-{name}", ["reproduce", name, "--out-dir", "out", *FAST,
+                               "--curve-points", "50"])
+        for name in ("fig2-linf", "fig2-l2")
+    ]
+    calls += [
+        (f"curve-{metric}-28GHz-N{n}",
+         ["curve", "--metric", metric, "--freq-ghz", "28", "--elements", str(n),
+          "--r-start", "0.05", "--r-stop", "500", "--r-points", "200", "--out", "curve.csv"])
+        for metric in ("linf", "l2", "se") for n in (4, 16, 64)
+    ]
+    calls += [
+        ("se-28GHz-N16-30deg", ["se", "--freq-ghz", "28", "--elements", "16", "--range-m",
+                                "0.5", "--theta-deg", "30", "--json"]),
+        ("se-28GHz-N16-worst", ["se", "--freq-ghz", "28", "--elements", "16", "--range-m",
+                                "0.5", "--json"]),
+        ("boundaries-300GHz-N64", ["boundaries", "--freq-ghz", "300", "--elements", "64",
+                                   "--json"]),
+    ]
+    return calls
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _guard(entries: dict, key: str, fn) -> None:
+    """entries[key...] from fn(); an exception is recorded as the entry's value."""
+    try:
+        values = fn()
+    except (ArithmeticError, RuntimeError, ValueError) as exc:  # refusals are outputs too
+        entries[key] = f"error: {type(exc).__name__}: {exc}"
+        return
+    if isinstance(values, dict):
+        entries.update({f"{key}/{name}": value for name, value in values.items()})
+    else:
+        entries[key] = values
+
+
+def _json_leaves(doc, prefix: str = "") -> dict:
+    """Each leaf of a JSON document as its repr, keyed by its path."""
+    if not isinstance(doc, dict):
+        return {prefix: repr(doc)}
+    return {key: leaf for name, sub in doc.items()
+            for key, leaf in _json_leaves(sub, f"{prefix}/{name}").items()}
+
+
+def _file_entries(path: Path) -> dict:
+    data = path.read_bytes()
+    entries = {"sha256": _sha256(data)}
+    if path.suffix == ".csv":
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"))))
+        for i, row in enumerate(rows[1:], start=1):
+            entries.update({f"row{i}/{col}": cell for col, cell in zip(rows[0], row)})
+    return entries
+
+
+def entries(tree: Path, quick: bool) -> dict:
+    """Every entry of the fixed set, computed here with nearfield from tree/src."""
+    sys.path.insert(0, str(tree / "src"))
+    import nearfield
+    from nearfield import cli
+
+    source = Path(nearfield.__file__).resolve()
+    if not source.is_relative_to(tree):
+        raise RuntimeError(f"nearfield was imported from {source}, not from {tree}")
+    out: dict[str, str] = {}
+    for f, n, scale in _solves(quick):
+        cfg = nearfield.ArrayConfig(carrier_freq=f * 1e9, n_elements=n)
+        tol = nearfield.Tolerances(1e-3 * scale, 1e-3 * scale, 0.5 * scale)
+        _guard(out, f"solve/{f}GHz-N{n}/x{scale}", lambda: {
+            k: repr(v) for k, v in dataclasses.asdict(nearfield.boundary_set(cfg, tol)).items()
+        })
+    for f, n in [(28, 4)] if quick else [(f, n) for f in CARRIERS_GHZ for n in (4, 64)]:
+        cfg = nearfield.ArrayConfig(carrier_freq=f * 1e9, n_elements=n)
+        _guard(out, f"l2_certification_bound/{f}GHz-N{n}",
+               lambda: repr(nearfield.l2_certification_bound(cfg, 1e-3)))
+    for f, n in [(28, 4)] if quick else [(10, 5), (28, 16), (300, 64)]:
+        cfg = nearfield.ArrayConfig(carrier_freq=f * 1e9, n_elements=n)
+        _guard(out, f"epf_distance/{f}GHz-N{n}", lambda: repr(nearfield.epf_distance(cfg, 1e-3)))
+    for label, argv in _cli_calls(quick):
+        with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+            finally:
+                os.chdir(cwd)
+            out[f"cli/{label}/exit"] = repr(code)
+            out[f"cli/{label}/stdout"] = _sha256(stdout.getvalue().encode("utf-8"))
+            out[f"cli/{label}/stderr"] = _sha256(stderr.getvalue().encode("utf-8"))
+            if "--json" in argv and code == 0:
+                for name, value in _json_leaves(json.loads(stdout.getvalue())).items():
+                    out[f"cli/{label}/json{name}"] = value
+            for path in sorted(Path(tmp).rglob("*")):
+                if path.is_file():
+                    rel = path.relative_to(tmp).as_posix()
+                    for name, value in _file_entries(path).items():
+                        out[f"cli/{label}/{rel}/{name}"] = value
+    return out
+
+
+def record(out_path: Path, tree: Path, threads: list[int], quick: bool) -> int:
+    runs = {}
+    for count in threads:
+        argv = [sys.executable, __file__, "entries", "--tree", str(tree)] + ["--quick"] * quick
+        env = {**os.environ, "NEARFIELD_THREADS": str(count)}
+        child = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+        if child.returncode != 0:
+            print(f"identity: threads={count} exited {child.returncode}:\n{child.stderr}",
+                  file=sys.stderr)
+            return 2
+        runs[str(count)] = json.loads(child.stdout)
+    doc = {"schema": 1, "tree": str(tree), "quick": quick, "runs": runs}
+    out_path.write_text(json.dumps(doc, indent=0) + "\n", encoding="utf-8")
+    first = next(iter(runs.values()))
+    disagree = [f"{key}: threads={count} reads {run.get(key)} against {first[key]}"
+                for count, run in runs.items() for key in first if run.get(key) != first[key]]
+    for line in disagree:
+        print(f"identity: thread counts disagree: {line}", file=sys.stderr)
+    print(f"identity: {len(first)} entries x {len(runs)} thread counts written to {out_path}",
+          file=sys.stderr)
+    return 1 if disagree else 0
+
+
+def _relative(old: str | None, new: str | None) -> str:
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return ""
+    if a == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return ""
+    return f" (rel {(b - a) / abs(a):+.3g})"
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    a_runs = json.loads(a_path.read_text(encoding="utf-8"))["runs"]
+    b_runs = json.loads(b_path.read_text(encoding="utf-8"))["runs"]
+    moved, total = 0, 0
+    for count in dict.fromkeys([*a_runs, *b_runs]):
+        a, b = a_runs.get(count, {}), b_runs.get(count, {})
+        for key in dict.fromkeys([*a, *b]):
+            total += 1
+            old, new = a.get(key), b.get(key)
+            if old != new:
+                moved += 1
+                print(f"threads={count} {key}: {old} -> {new}{_relative(old, new)}")
+    print(f"{moved} moved of {total} entries")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("record", help="run the fixed set and write its entries")
+    p.add_argument("out", type=Path)
+    p.add_argument("--tree", type=Path, default=ROOT, help="checkout whose src/ to run")
+    p.add_argument("--threads", default="1,2", help="comma-separated NEARFIELD_THREADS values")
+    p.add_argument("--quick", action="store_true", help="a few entries of each kind")
+    p = sub.add_parser("compare", help="list the entries that moved from A to B")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    p = sub.add_parser("entries", help="print one run's entries as JSON (record's child)")
+    p.add_argument("--tree", type=Path, default=ROOT)
+    p.add_argument("--quick", action="store_true")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        threads = [int(t) for t in args.threads.split(",")]
+        return record(args.out, args.tree.resolve(), threads, args.quick)
+    if args.command == "compare":
+        return compare(args.a, args.b)
+    print(json.dumps(entries(args.tree.resolve(), args.quick)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Geometry, steering vectors, and LoS channels for a uniform linear array."""
+"""Array geometry and source-to-element distances for a uniform linear array."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ computation squares the range, so a larger one yields inf and NaN metrics."""
 
 MAX_ELEMENTS = 1_000_000
 """Largest n_elements an ArrayConfig takes, so no per-element vector
-(channels, steering vectors, distances) reaches gigabytes."""
+(offsets, distances) reaches gigabytes."""
 
 
 class DegenerateGeometryError(ValueError):
@@ -143,39 +143,3 @@ def distances(r, nd, cos_t):
 def element_distances(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
     """Exact source-to-element distances R_n for all n."""
     return distances(pos.range_m, cfg.element_offsets(), math.cos(pos.theta))
-
-
-def element_distance(cfg: ArrayConfig, pos: PolarPosition, n: int) -> float:
-    """Exact distance from the source to element n."""
-    if not 0 <= n < cfg.n_elements:
-        raise ValueError(f"element index {n} out of range [0, {cfg.n_elements})")
-    return float(element_distances(cfg, pos)[n])
-
-
-def steering_nf(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
-    """Spherical-wavefront steering vector, element n = exp(-j*k*R_n)."""
-    dist = element_distances(cfg, pos)
-    return np.exp(-1j * cfg.wavenumber * dist)
-
-
-def steering_ff(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
-    """Planar-wavefront steering vector with the linear phase ramp.
-
-    Element n = exp(-j*k*(r - n*d*cos(theta))); the ramp slope is k*d*cos(theta).
-    """
-    nd = cfg.element_offsets()
-    phase = cfg.wavenumber * (pos.range_m - nd * math.cos(pos.theta))
-    return np.exp(-1j * phase)
-
-
-def channel_nf(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
-    """Uplink LoS channel with exact per-element amplitudes lambda/(4*pi*R_n)."""
-    dist = element_distances(cfg, pos)
-    amp = cfg.wavelength / (4.0 * math.pi * dist)
-    return amp * np.exp(-1j * cfg.wavenumber * dist)
-
-
-def channel_ff(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
-    """Planar-wavefront LoS channel: common amplitude lambda/(4*pi*r)."""
-    amp = cfg.wavelength / (4.0 * math.pi * pos.range_m)
-    return amp * steering_ff(cfg, pos)

@@ -59,39 +59,6 @@ class Tolerances:
 
 
 @dataclass(frozen=True)
-class CubicCoefficients:
-    """Depressed-cubic coefficients behind the small-phase closed form.
-
-    The small-angle sufficient condition rearranges to r^3 + p*r + q = 0 with
-    p = -k*D^2/(2*delta) and q = -D^2/(2*delta); both are negative and the
-    discriminant (q/2)^2 + (p/3)^3 stays negative for physical parameters,
-    which is the three-real-roots regime.
-    """
-
-    p: float
-    q: float
-
-    @property
-    def discriminant(self) -> float:
-        return (self.q / 2.0) ** 2 + (self.p / 3.0) ** 3
-
-    @classmethod
-    def from_config(cls, cfg: ArrayConfig, delta_inf: float) -> "CubicCoefficients":
-        _require_positive("delta_inf", delta_inf)
-        if cfg.n_elements < 2:
-            raise ValueError("the cubic needs a nonzero aperture (n_elements >= 2)")
-        d_sq = cfg.aperture * cfg.aperture
-        p = -cfg.wavenumber * d_sq / (2.0 * delta_inf)
-        q = -d_sq / (2.0 * delta_inf)
-        # D^2 under- or overflowed.  p = -inf alone (a tiny delta_inf) puts the
-        # root at inf, which the scans refuse as a horizon (exit 3)
-        if p == 0.0 or q == 0.0 or not math.isfinite(q):
-            raise ValueError(f"aperture {cfg.aperture} m and delta_inf {delta_inf} give cubic "
-                             f"coefficients p = {p}, q = {q} that the closed form cannot evaluate")
-        return cls(p=p, q=q)
-
-
-@dataclass(frozen=True)
 class EnvelopeSearchPolicy:
     """Scan and refinement settings for the last-crossing envelope search.
 
@@ -178,11 +145,22 @@ def sspf_distance(cfg: ArrayConfig, delta_inf: float) -> float:
 def spf_distance(cfg: ArrayConfig, delta_inf: float) -> float:
     """Small-phase radius: the positive root of (2*delta/D^2)*r^3 - k*r - 1 = 0.
 
-    Solved in closed form via the trigonometric method for a depressed cubic
-    with three real roots; the returned root is the largest (the physical one).
+    It rearranges to the depressed cubic r^3 + p*r + q = 0 with
+    p = -k*D^2/(2*delta) and q = -D^2/(2*delta), both negative, which for
+    physical parameters has three real roots.  Solved in closed form via the
+    trigonometric method; the returned root is the largest (the physical one).
     """
-    coeffs = CubicCoefficients.from_config(cfg, delta_inf)
-    p, q = coeffs.p, coeffs.q
+    _require_positive("delta_inf", delta_inf)
+    if cfg.n_elements < 2:
+        raise ValueError("the cubic needs a nonzero aperture (n_elements >= 2)")
+    d_sq = cfg.aperture * cfg.aperture
+    p = -cfg.wavenumber * d_sq / (2.0 * delta_inf)
+    q = -d_sq / (2.0 * delta_inf)
+    # D^2 under- or overflowed.  p = -inf alone (a tiny delta_inf) puts the
+    # root at inf, which the scans refuse as a horizon (exit 3)
+    if p == 0.0 or q == 0.0 or not math.isfinite(q):
+        raise ValueError(f"aperture {cfg.aperture} m and delta_inf {delta_inf} give cubic "
+                         f"coefficients p = {p}, q = {q} that the closed form cannot evaluate")
     arg = (3.0 * q / (2.0 * p)) * math.sqrt(-3.0 / p)
     if not -1.0 <= arg <= 1.0:
         raise ValueError(
@@ -196,7 +174,10 @@ def phase_amp_envelope(cfg: ArrayConfig, r) -> np.ndarray | float:
     """Angle-free mismatch majorant D^2/(2r^3) + (2/r)|sin(k*D^2/(4r))|."""
     r = np.asarray(r, dtype=float)
     d_sq = cfg.aperture * cfg.aperture
-    return d_sq / (2.0 * r**3) + (2.0 / r) * np.abs(np.sin(cfg.wavenumber * d_sq / (4.0 * r)))
+    # an overflowing r**3 makes its term read 0, which is its limit
+    with np.errstate(over="ignore"):
+        phase = np.abs(np.sin(cfg.wavenumber * d_sq / (4.0 * r)))
+        return d_sq / (2.0 * r**3) + (2.0 / r) * phase
 
 
 def small_angle_envelope(cfg: ArrayConfig, r) -> np.ndarray | float:

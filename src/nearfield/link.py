@@ -96,13 +96,23 @@ def snr_mismatched(gain: float, eta: float, budget: LinkBudget) -> float:
 
 
 def se_loss(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> SEReport:
-    """SE penalty of planar-subspace estimation and combining at one position."""
+    """SE penalty of planar-subspace estimation and combining at one position.
+
+    A position whose gain G, or whose NMSE noise term 1/(pilot energy * G),
+    is not finite and positive in floats is refused with ValueError.
+    """
     gain = channel_gain(cfg, pos)
+    pilot_energy = budget.pilot_len * budget.pilot_snr
+    noise = 1.0 / (pilot_energy * gain) if pilot_energy * gain > 0.0 else math.inf
+    if not (0.0 < gain < math.inf and 0.0 < noise < math.inf):
+        raise ValueError(f"carrier_freq {cfg.carrier_freq} Hz, range_m {pos.range_m} and pilot "
+                         f"energy {pilot_energy} give gain {gain} and NMSE noise term {noise}; "
+                         "both must be finite and positive")
     eta = array_gain_efficiency(cfg, pos)
     se_opt = se_optimal(gain, budget)
     se_mis = math.log1p(snr_mismatched(gain, eta, budget)) / _LN2
     return SEReport(se_opt=se_opt, se_mis=se_mis, delta_se=se_opt - se_mis, eta=eta, gain=gain,
-                    nmse_floor=(1.0 - eta) + 1.0 / (budget.pilot_len * budget.pilot_snr * gain))
+                    nmse_floor=(1.0 - eta) + noise)
 
 
 def _se_loss_grid(budget: LinkBudget):

@@ -152,23 +152,6 @@ def gain_mpmath(cfg, r, theta, dps=40):
         return float(total)
 
 
-def steering_near_mpmath(cfg, r, theta, dps=40):
-    """Spherical-wavefront steering vector in extended precision."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        lam = mpmath.mpf(cfg.light_speed) / mpmath.mpf(cfg.carrier_freq)
-        k = 2 * mpmath.pi / lam
-        out = []
-        for n in range(cfg.n_elements):
-            nd = mpmath.mpf(cfg.spacing) * n
-            dist = mpmath.sqrt(
-                mpmath.mpf(r) ** 2 + nd**2 - 2 * mpmath.mpf(r) * nd * mpmath.cos(mpmath.mpf(theta))
-            )
-            out.append(complex(mpmath.exp(-1j * k * dist)))
-        return np.array(out)
-
-
 def nmse_monte_carlo(cfg, pos, budget, draws, seed):
     """Empirical NMSE of planar-constrained least squares under pilot noise.
 

@@ -10,7 +10,6 @@ import oracles
 from nearfield import (
     AngleSearchPolicy,
     ArrayConfig,
-    CubicCoefficients,
     EnvelopeSearchPolicy,
     HorizonExceededError,
     LinkBudget,
@@ -112,9 +111,10 @@ def test_spf_domain_error_for_unphysical_tolerance():
 )
 def test_spf_cubic_residual_random(freq_ghz, n_elements, delta):
     cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
-    coeffs = CubicCoefficients.from_config(cfg, delta)
-    assert coeffs.p < 0 and coeffs.q < 0
-    assert coeffs.discriminant < 0
+    # the depressed cubic r^3 + p*r + q behind spf_distance has three real roots
+    p = -cfg.wavenumber * cfg.aperture**2 / (2 * delta)
+    q = -cfg.aperture**2 / (2 * delta)
+    assert (q / 2) ** 2 + (p / 3) ** 3 < 0
     r = spf_distance(cfg, delta)
     residual = (2 * delta / cfg.aperture**2) * r**3 - cfg.wavenumber * r - 1.0
     assert abs(residual) / (cfg.wavenumber * r) < 1e-9

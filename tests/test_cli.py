@@ -614,3 +614,49 @@ def test_readme_lists_every_config_key():
         for m in re.finditer(r"^- `(\w+)`: ((?:`\w+`(?:, )?)+)$", README.read_text(), re.M)
     }
     assert listed == cli._CONFIG_SECTIONS
+
+
+@pytest.mark.filterwarnings("error")
+def test_boundaries_at_a_tiny_delta_inf_warns_nothing(capsys):
+    # the epf scan runs up to about 2.8e149 m, where the majorant's r**3
+    # overflows; that term's limit, 0, is what the sum already uses
+    code, out, err = run_cli(
+        capsys, "boundaries", "--freq-ghz", "28", "--elements", "4", "--delta-inf", "1e-300"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[3].split()[:2] == ["epf", "2.75199605558e+149"]
+
+
+# se argv -> the pilot energy pilot_len * pilot_snr the refusal names
+SE_REFUSED = {
+    # G is the subnormal 1e-323, so the noise term 1/(pilot energy * G) overflows
+    "subnormal_gain": ("--freq-ghz 1e160 --elements 2 --pilot-len 4 --range-m 1 --theta-deg 90",
+                       "40000.0"),
+    # a -3000 dB pilot: pilot energy * G is subnormal, so its inverse overflows
+    "faint_pilot": ("--freq-ghz 300 --elements 4 --range-m 1e3 --theta-deg 30 "
+                    "--pilot-snr-db -3000", "6.4e-299"),
+    # farther out pilot energy * G underflows to 0 (was a division by zero, exit 3)
+    "faint_pilot_far": ("--freq-ghz 300 --elements 4 --range-m 1e10 --theta-deg 30 "
+                        "--pilot-snr-db -3000", "6.4e-299"),
+    # G underflows to 0 (was refused without naming the position)
+    "zero_gain": ("--freq-ghz 1e160 --elements 5 --range-m 300 --theta-deg 0", "640000.0"),
+}
+
+
+@pytest.mark.parametrize("argv, pilot_energy", SE_REFUSED.values(), ids=SE_REFUSED.keys())
+def test_se_refuses_a_position_without_finite_numbers(capsys, argv, pilot_energy):
+    code, out, err = run_cli(capsys, "se", *argv.split())
+    flags = dict(zip(argv.split()[::2], argv.split()[1::2]))
+    assert code == 2 and not out
+    assert err.startswith(f"error: carrier_freq {float(flags['--freq-ghz']) * 1e9} Hz, range_m "
+                          f"{float(flags['--range-m'])} and pilot energy {pilot_energy} give ")
+    assert err.rstrip().endswith("must be finite and positive")
+
+
+def test_se_reports_a_subnormal_gain_with_finite_numbers(capsys):
+    code, out, err = run_cli(capsys, "se", "--freq-ghz", "300", "--elements", "4",
+                             "--range-m", "1e152", "--theta-deg", "30", "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert 0.0 < doc["gain"] < 2.3e-308  # subnormal
+    assert all(math.isfinite(v) for v in doc.values() if isinstance(v, float))

@@ -10,7 +10,6 @@ from nearfield import (
     DEFAULT_BUDGET,
     AngleSearchPolicy,
     ArrayConfig,
-    CubicCoefficients,
     EnvelopeSearchPolicy,
     HorizonExceededError,
     LinkBudget,
@@ -96,7 +95,6 @@ def test_fractional_count_rejected_by_name(make, base, name, value):
 TOLERANCE_ARGS = [
     (sspf_distance, "delta_inf"),
     (spf_distance, "delta_inf"),
-    (CubicCoefficients.from_config, "delta_inf"),
     (epf_distance, "delta_inf"),
     (linf_mismatch_bound, "delta_inf"),
     (l2_certification_bound, "delta_2"),
@@ -111,7 +109,7 @@ TOLERANCE_ARGS = [
 
 @pytest.mark.parametrize(
     "solve, name", TOLERANCE_ARGS,
-    ids=["sspf", "spf", "cubic", "epf", "linf_bound", "l2_certification", "l2_bound",
+    ids=["sspf", "spf", "epf", "linf_bound", "l2_certification", "l2_bound",
          "se_gain_bound", "optimal_radius", "optimal_radius_r_min"],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-3])

@@ -3,10 +3,14 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
+import nearfield
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nearfield"
+ROOT = PACKAGE.parents[1]
 
 
 def _private_imports(path: Path):
@@ -23,7 +27,7 @@ def _private_imports(path: Path):
 
 def _tracing(monkeypatch):
     """perfbench/tracing.py, loaded from its file."""
-    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
@@ -83,3 +87,45 @@ def test_every_traced_name_resolves(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert not missing, missing
+
+
+def _readers(path: Path) -> dict[str, set[str | None]]:
+    """Each name the module reads -> the top-level functions and classes that
+    read it, None standing for module-level code; a definition reading its
+    own name does not count."""
+    readers: dict[str, set[str | None]] = {}
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                name = sub.attr
+            else:
+                continue
+            if name != owner:
+                readers.setdefault(name, set()).add(owner)
+    return readers
+
+
+def test_every_public_name_has_a_user():
+    # a public name earns its place when the package's own code reads it, the
+    # benchmark uses it or README names it; a read inside a public function
+    # that has no user itself does not count
+    readers: dict[str, set[str | None]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            for name, owners in _readers(path).items():
+                readers.setdefault(name, set()).update(owners)
+    outside = "\n".join(
+        [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+        + [(ROOT / "README.md").read_text(encoding="utf-8")]
+    )
+    candidates = [name for name in nearfield.__all__ if not re.search(rf"\b{name}\b", outside)]
+    unused: set[str | None] = set()
+    while True:
+        grown = {name for name in candidates if readers.get(name, set()) <= unused}
+        if grown == unused:
+            break
+        unused = grown
+    assert not unused, ", ".join(sorted(unused))
