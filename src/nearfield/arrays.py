@@ -50,14 +50,18 @@ def require_whole(obj, *names: str) -> None:
         object.__setattr__(obj, name, int(value))
 
 
-def require_ranges(name: str, r) -> None:
-    """Reject any range outside [MIN_RANGE_M, MAX_RANGE_M], NaN included,
-    naming it and the first offending value."""
+def require_ranges(name: str, r, aperture: float = 0.0) -> None:
+    """Reject any range r below MIN_RANGE_M, NaN included, or with r + aperture
+    above MAX_RANGE_M, where the distances to an array's far elements would
+    overflow; the message names it and the first offending value."""
     r = np.asarray(r, dtype=float)
-    bad = r[~((r >= MIN_RANGE_M) & (r <= MAX_RANGE_M))]
+    bad = r[~((r >= MIN_RANGE_M) & (r + aperture <= MAX_RANGE_M))]
     if bad.size:
         value = float(bad[0])
-        limit = f"at most {MAX_RANGE_M!r}" if value > MAX_RANGE_M else f"at least {MIN_RANGE_M!r}"
+        limit = f"at least {MIN_RANGE_M!r}"
+        if value + aperture > MAX_RANGE_M:
+            less = f" less the aperture {aperture!r}" if aperture else ""
+            limit = f"at most {MAX_RANGE_M!r}{less}"
         raise ValueError(f"{name} must be {limit} m, got {value!r}")
 
 
@@ -142,4 +146,5 @@ def distances(r, nd, cos_t):
 
 def element_distances(cfg: ArrayConfig, pos: PolarPosition) -> np.ndarray:
     """Exact source-to-element distances R_n for all n."""
+    require_ranges("range_m", pos.range_m, cfg.aperture)
     return distances(pos.range_m, cfg.element_offsets(), math.cos(pos.theta))

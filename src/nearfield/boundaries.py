@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class EnvelopeSearchPolicy:
 
     r_min: float | None = None
     points_per_decade: int = 2000
-    bisection_tol: float = 1e-8
+    bisection_tol: ClassVar[float] = 1e-8  # relative width of the last-cell bisection
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -77,8 +77,6 @@ class EnvelopeSearchPolicy:
             raise ValueError("r_min must be positive")
         if self.points_per_decade < 10:
             raise ValueError("points_per_decade must be at least 10")
-        if self.bisection_tol <= 0:
-            raise ValueError("bisection_tol must be positive")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,12 +40,9 @@ THETA_OPEN_MIN = math.acos(_COS_OPEN_MAX)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-# cap per-block tensor size in the batched evaluator (elements, not bytes)
-_BLOCK_BUDGET = 2_000_000
-
-MAX_ROW_CELLS = _BLOCK_BUDGET
-"""Largest (search angles x n_elements) kernel row a worst-case search takes;
-a kernel block holds at least one row, so one row may fill the block budget."""
+MAX_ROW_CELLS = 2_000_000
+"""Largest (search angles x n_elements) kernel row a worst-case search takes,
+and the cell budget of one kernel block, which holds at least one row."""
 
 MAX_ANGLE_POINTS = 1_000_000
 """Largest coarse angle grid (AngleSearchPolicy.coarse_grid_points)."""
@@ -119,19 +117,15 @@ class AngleSearchPolicy:
     """Coarse-grid plus golden-section settings for the look-angle maximization."""
 
     coarse_grid_points: int = 721
-    refine_tolerance: float = 1e-6
-    refine_max_iter: int = 200
+    refine_tolerance: ClassVar[float] = 1e-6  # rad: a 2*pi/722 bracket takes 19 steps
+    refine_max_iter: ClassVar[int] = 200  # a safety cap that never binds
 
     def __post_init__(self) -> None:
         require_finite(self)
-        require_whole(self, "coarse_grid_points", "refine_max_iter")
+        require_whole(self, "coarse_grid_points")
         if not 3 <= self.coarse_grid_points <= MAX_ANGLE_POINTS:
             raise ValueError(f"coarse_grid_points must lie in [3, {MAX_ANGLE_POINTS}], "
                              f"got {self.coarse_grid_points}")
-        if self.refine_tolerance <= 0:
-            raise ValueError("refine_tolerance must be positive")
-        if self.refine_max_iter < 1:
-            raise ValueError("refine_max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -209,6 +203,7 @@ def _eta_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
 
 
 def _at_value(cfg: ArrayConfig, pos: PolarPosition, grid_fn) -> float:
+    require_ranges("range_m", pos.range_m, cfg.aperture)
     r = np.array([pos.range_m], dtype=float)
     cos_t = np.array([[math.cos(pos.theta)]])
     return float(grid_fn(cfg, r, cos_t)[0, 0])
@@ -280,7 +275,7 @@ def block_rows(cfg: ArrayConfig, policy: AngleSearchPolicy) -> int:
     if row > MAX_ROW_CELLS:
         raise ValueError(f"n_elements {cfg.n_elements} x coarse angles is {row} cells per kernel "
                          f"row, more than MAX_ROW_CELLS = {MAX_ROW_CELLS}")
-    return min(64, _BLOCK_BUDGET // row)
+    return min(64, MAX_ROW_CELLS // row)
 
 
 def _clamped_cos(theta: np.ndarray) -> np.ndarray:
@@ -299,7 +294,7 @@ def worst_over_angle_batch(
     to (B, T) metric values.
     """
     r_values = np.asarray(r_values, dtype=float)
-    require_ranges("ranges", r_values)
+    require_ranges("ranges", r_values, cfg.aperture)
     if cfg.n_elements == 1:
         return np.zeros_like(r_values), np.zeros_like(r_values)
     thetas = _angle_grid(policy)

@@ -13,7 +13,6 @@ from .boundaries import (
     MAX_GRID_POINTS,
     BoundarySet,
     EnvelopeSearchPolicy,
-    Tolerances,
     boundary_set,
     resolve_r_min,
 )
@@ -76,8 +75,6 @@ class SweepSpec:
     configs: tuple[ArrayConfig, ...]
     metrics: tuple[str, ...] = METRIC_NAMES
     auto_grid_points: int = 400
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    budget: LinkBudget = DEFAULT_BUDGET
     angle_policy: AngleSearchPolicy = field(default_factory=AngleSearchPolicy)
     envelope_policy: EnvelopeSearchPolicy = field(default_factory=EnvelopeSearchPolicy)
 
@@ -139,13 +136,13 @@ def _config_job(cfg: ArrayConfig, spec: SweepSpec) -> ConfigSweep:
     bounds, curves, error = None, [], None
     try:
         bounds = boundary_set(
-            cfg, spec.tolerances, spec.budget, spec.angle_policy, spec.envelope_policy
+            cfg, angle_policy=spec.angle_policy, envelope_policy=spec.envelope_policy
         )
         r_min = resolve_r_min(cfg, spec.envelope_policy)
         top = max(bounds.rayleigh, bounds.epf, bounds.spf, bounds.sspf, r_min)
         grid = RangeGrid(r_min, 10.0 * top, spec.auto_grid_points).values()
         for metric in spec.metrics:
-            curves.append(metric_curve(cfg, metric, grid, spec.budget, spec.angle_policy))
+            curves.append(metric_curve(cfg, metric, grid, DEFAULT_BUDGET, spec.angle_policy))
     except Exception as exc:  # keep other configs alive; record the failure
         error = exc.with_traceback(None)  # its frames would keep the arrays alive
     return ConfigSweep(cfg, bounds, tuple(curves), error)
@@ -209,8 +206,8 @@ def _grid_configs(freqs_ghz, element_counts) -> tuple[ArrayConfig, ...]:
 
 
 def preset(name: str) -> SweepSpec:
-    """Bundled sweep presets; tolerances are 1e-3 (per-meter and dimensionless)
-    and 0.5 bits/s/Hz, with the documented stand-in link budget."""
+    """Bundled sweep presets.  Like every sweep they use the default tolerances,
+    1e-3 (per-meter and dimensionless) and 0.5 bits/s/Hz, and DEFAULT_BUDGET."""
     if name == "fig2-linf":
         return SweepSpec(configs=_grid_configs((1, 10, 300), (2, 5, 64)), metrics=("linf",))
     if name == "fig2-l2":

@@ -50,8 +50,6 @@ def test_envelope_policy_validation():
     with pytest.raises(ValueError):
         EnvelopeSearchPolicy(points_per_decade=5)
     with pytest.raises(ValueError):
-        EnvelopeSearchPolicy(bisection_tol=0.0)
-    with pytest.raises(ValueError):
         EnvelopeSearchPolicy(r_min=-1.0)
 
 

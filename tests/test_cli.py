@@ -11,7 +11,7 @@ import pytest
 import nearfield.link as link_mod
 import nearfield.sweep as sweep_mod
 from nearfield import AngleSearchPolicy, EnvelopeSearchPolicy, HorizonExceededError, Tolerances, cli
-from nearfield.arrays import MAX_ELEMENTS
+from nearfield.arrays import MAX_ELEMENTS, MAX_RANGE_M
 from nearfield.boundaries import MAX_GRID_POINTS
 from nearfield.metrics import MAX_ANGLE_POINTS, MAX_ROW_CELLS
 
@@ -245,11 +245,15 @@ def test_config_file_and_flag_reach_every_setting(tmp_path, build, section, cls,
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg_file = tmp_path / "bad.json"
-    # the SE scan horizon and its trailing-decade margin are fixed, not settings
+    # the SE scan horizon, its trailing-decade margin and the three inner-solver
+    # tolerances are fixed, not settings
     for section, key in (
         ("tolerances", "delta_unknown"),
         ("envelope_policy", "certification_margin"),
         ("envelope_policy", "max_scan_factor"),
+        ("angle_policy", "refine_tolerance"),
+        ("angle_policy", "refine_max_iter"),
+        ("envelope_policy", "bisection_tol"),
     ):
         cfg_file.write_text(json.dumps({section: {key: 1.0}}))
         code, _, err = run_cli(
@@ -272,7 +276,6 @@ def test_invalid_values_exit_2(capsys, tmp_path):
     # fractional counts in a config file are rejected, not truncated
     for section, key, value in (
         ("angle_policy", "coarse_grid_points", 3.5),
-        ("angle_policy", "refine_max_iter", 2.5),
         ("envelope_policy", "points_per_decade", 100.5),
         ("budget", "pilot_len", 63.5),
     ):
@@ -660,3 +663,32 @@ def test_se_reports_a_subnormal_gain_with_finite_numbers(capsys):
     doc = json.loads(out)
     assert 0.0 < doc["gain"] < 2.3e-308  # subnormal
     assert all(math.isfinite(v) for v in doc.values() if isinstance(v, float))
+
+
+# argv -> the aperture the refusal names, for arrays whose distances overflow
+# where a range meets them (r + D > MAX_RANGE_M)
+OVERFLOWING_APERTURES = {
+    "curve_linf": ("curve --metric linf --freq-ghz 28 --elements 4 --spacing-m 1e160 "
+                   "--r-start 1 --r-stop 2 --r-points 3", "ranges", "3e+160"),
+    "curve_l2": ("curve --metric l2 --freq-ghz 28 --elements 4 --spacing-m 1e200 "
+                 "--r-start 1 --r-stop 2 --r-points 3", "ranges", "3e+200"),
+    # the default spacing of a 1e-291 Hz carrier is 1.5e299 m
+    "curve_se": ("curve --metric se --freq-ghz 1e-300 --elements 4 "
+                 "--r-start 1 --r-stop 2 --r-points 3", "ranges", "4.5e+299"),
+    "se_worst_case": ("se --freq-ghz 28 --elements 4 --spacing-m 1e200 --range-m 1",
+                      "ranges", "3e+200"),
+    "se_fixed_angle": ("se --freq-ghz 28 --elements 4 --spacing-m 1e200 --range-m 1 "
+                       "--theta-deg 30", "range_m", "3e+200"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, name, aperture", OVERFLOWING_APERTURES.values(), ids=OVERFLOWING_APERTURES.keys()
+)
+def test_apertures_that_overflow_the_distances_exit_2(capsys, argv, name, aperture):
+    # these wrote nan rows with exit 0, or warned and then refused a nan eta
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and not out
+    assert err == (f"error: {name} must be at most {MAX_RANGE_M!r} less the aperture "
+                   f"{aperture} m, got 1.0\n")

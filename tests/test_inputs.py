@@ -1,5 +1,6 @@
 """Inputs are validated where they enter: NaN and infinity never get through."""
 
+import dataclasses
 import math
 
 import pytest
@@ -39,10 +40,9 @@ FIELDS = [
     (LinkBudget, dict(pilot_snr=1e4, data_snr=1e6, pilot_len=64), name)
     for name in ("pilot_snr", "data_snr", "pilot_len")
 ] + [
-    (AngleSearchPolicy, {}, name)
-    for name in ("coarse_grid_points", "refine_tolerance", "refine_max_iter")
+    (AngleSearchPolicy, {}, "coarse_grid_points")
 ] + [
-    (EnvelopeSearchPolicy, {}, name) for name in ("r_min", "points_per_decade", "bisection_tol")
+    (EnvelopeSearchPolicy, {}, name) for name in ("r_min", "points_per_decade")
 ] + [
     (RangeGrid, dict(start=1.0, stop=2.0, points=3), name) for name in ("start", "stop", "points")
 ] + [
@@ -71,7 +71,6 @@ COUNTS = [
     (ArrayConfig, dict(carrier_freq=1e9), "n_elements", 4.5),
     (LinkBudget, dict(pilot_snr=1e4, data_snr=1e6), "pilot_len", 63.5),
     (AngleSearchPolicy, {}, "coarse_grid_points", 3.5),
-    (AngleSearchPolicy, {}, "refine_max_iter", 2.5),
     (EnvelopeSearchPolicy, {}, "points_per_decade", 100.5),
     (RangeGrid, dict(start=1.0, stop=2.0), "points", 2.5),
     (SweepSpec, ONE_CONFIG, "auto_grid_points", 2.5),
@@ -88,6 +87,27 @@ def test_fractional_count_rejected_by_name(make, base, name, value):
     # a whole float (as a JSON config file may carry) is stored as an int
     whole = getattr(make(**base, **{name: math.ceil(value) + 0.0}), name)
     assert whole == math.ceil(value) and type(whole) is int
+
+
+def test_inner_solver_tolerances_are_class_constants():
+    # no caller varies them, so they are neither fields nor config keys
+    for cls, name, value in (
+        (AngleSearchPolicy, "refine_tolerance", 1e-6),
+        (AngleSearchPolicy, "refine_max_iter", 200),
+        (EnvelopeSearchPolicy, "bisection_tol", 1e-8),
+    ):
+        assert getattr(cls(), name) == value and type(getattr(cls, name)) is type(value)
+        with pytest.raises(TypeError, match=name):
+            cls(**{name: value})
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(AngleSearchPolicy) == ["coarse_grid_points"]
+    assert names(EnvelopeSearchPolicy) == ["r_min", "points_per_decade"]
+    assert names(SweepSpec) == [
+        "configs", "metrics", "auto_grid_points", "angle_policy", "envelope_policy",
+    ]
 
 
 # every function a tolerance (or optimal_radius's r_min) enters directly, with

@@ -42,10 +42,6 @@ RAYLEIGH_300_64 = 1.9845
 def test_policy_validation():
     with pytest.raises(ValueError):
         AngleSearchPolicy(coarse_grid_points=2)
-    with pytest.raises(ValueError):
-        AngleSearchPolicy(refine_tolerance=0.0)
-    with pytest.raises(ValueError):
-        AngleSearchPolicy(refine_max_iter=0)
 
 
 def test_single_element_metrics_vanish():
@@ -339,6 +335,17 @@ def test_worst_case_search_is_never_degenerate_in_the_range_interval(
                 batch(cfg, ranges)
             except DegenerateGeometryError as exc:
                 pytest.fail(f"{cfg} at {ranges}: {exc}")
+
+
+@pytest.mark.filterwarnings("error")
+def test_pointwise_views_refuse_an_aperture_that_overflows_the_distances():
+    # r + D > MAX_RANGE_M: the distances overflowed to nan with a RuntimeWarning
+    cfg = ArrayConfig(carrier_freq=28e9, n_elements=4, spacing=1e200)
+    pos = PolarPosition(theta=0.5, range_m=1.0)
+    for view in (e_linf_at, e_l2_at, array_gain_efficiency):
+        with pytest.raises(ValueError, match=r"^range_m must be at most .* less the aperture "
+                                             r"3e\+200 m, got 1\.0$"):
+            view(cfg, pos)
 
 
 def test_one_block_and_one_worker_run_inline(cfg10_5, monkeypatch):

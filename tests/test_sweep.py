@@ -7,6 +7,7 @@ from nearfield import (
     AngleSearchPolicy,
     ArrayConfig,
     EnvelopeSearchPolicy,
+    Tolerances,
     resolve_r_min,
 )
 from nearfield.boundaries import MAX_GRID_POINTS
@@ -124,7 +125,7 @@ def test_curve_never_again_against_own_samples(cfg10_5):
     spec = fast_spec([cfg10_5], ["linf"])
     [record] = run_sweep(spec)
     [curve] = record.curves
-    tol = spec.tolerances.delta_inf
+    tol = Tolerances().delta_inf
     beyond = curve.ranges > record.bounds.opt_linf
     assert beyond.any(), "auto grid must extend past the optimal radius"
     assert np.all(curve.values[beyond] < tol)
@@ -188,16 +189,16 @@ def test_config_failure_does_not_abort_others(cfg1_2, monkeypatch):
 def test_presets():
     spec = preset("fig2-linf")
     assert spec.metrics == ("linf",)
-    assert spec.tolerances.delta_inf == 1e-3
+    assert Tolerances().delta_inf == 1e-3
     assert len(spec.configs) == 9
     spec2 = preset("fig2-l2")
-    assert spec2.tolerances.delta_2 == 1e-3
+    assert Tolerances().delta_2 == 1e-3
     assert any(
         c.carrier_freq == 300e9 and c.n_elements == 64 for c in spec2.configs
     )
     spec3 = preset("fig3-se")
     assert spec3.metrics == ("se",)
-    assert spec3.tolerances.delta_se == 0.5
+    assert Tolerances().delta_se == 0.5
     assert [(c.carrier_freq, c.n_elements) for c in spec3.configs] == [
         (1e9, 2), (10e9, 5), (300e9, 10),
     ]
