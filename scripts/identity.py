@@ -23,10 +23,18 @@ The fixed set:
   `--points-per-decade 150 --coarse-angles 181 --curve-points 50`;
 - `curve` CSVs for linf, l2 and se at 28 GHz, N = 4, 16 and 64;
 - `se --json` at a fixed angle and at the worst-case angle;
-- `boundaries --json` at 300 GHz / 64 elements.
+- `boundaries --json` at 300 GHz / 64 elements;
+- settings from a `--config` file written into the run directory first:
+  `boundaries --json` with every key set away from its default, the same
+  with every settings flag given over the file, and `curve` and `se --json`
+  with that file;
+- refusals: an unknown key, a fractional `pilot_len`, dB values that
+  overflow or underflow (by flag and by key), malformed JSON, an array whose
+  phase 2*k*D overflows and a range below the smallest one.
 
-`--quick` keeps two solves at 28 GHz, one bound of each kind, one curve and
-one call of each of `se` and `boundaries`, at reduced search densities.
+`--quick` keeps two solves at 28 GHz, one bound of each kind, one curve, one
+call of each of `se` and `boundaries` at reduced search densities, one call
+with a file and one refusal.
 """
 
 from __future__ import annotations
@@ -51,6 +59,20 @@ CARRIERS_GHZ = (1, 10, 28, 60, 140, 300)
 ELEMENTS = (2, 4, 5, 10, 16, 44, 48, 64)
 TOLERANCE_SCALES = (0.1, 1, 10)
 FAST = ["--points-per-decade", "150", "--coarse-angles", "181"]
+CONFIG = "settings.json"
+# every --config key away from its default
+ALL_KEYS = {
+    "array": {"spacing_m": 0.006, "light_speed": 2.99792458e8},
+    "tolerances": {"delta_inf": 2e-3, "delta_2": 2e-3, "delta_se": 0.25},
+    "budget": {"pilot_snr_db": 30, "data_snr_db": 50, "pilot_len": 32},
+    "angle_policy": {"coarse_grid_points": 181},
+    "envelope_policy": {"r_min": 0.1, "points_per_decade": 150},
+}
+# every settings flag, each away from the default and from ALL_KEYS
+ALL_FLAGS = ["--spacing-m", "0.005", "--delta-inf", "5e-4", "--delta-2", "5e-4",
+             "--delta-se", "0.4", "--pilot-snr-db", "35", "--data-snr-db", "55",
+             "--pilot-len", "48", "--coarse-angles", "241", "--points-per-decade", "120"]
+BOUNDARIES_28 = ["boundaries", "--freq-ghz", "28", "--elements", "4", "--config", CONFIG]
 
 
 def _solves(quick: bool):
@@ -60,38 +82,68 @@ def _solves(quick: bool):
 
 
 def _cli_calls(quick: bool):
-    """(label, argv) of every CLI call; output paths are relative to the run directory."""
+    """(label, argv, config) of every CLI call; config is the JSON document or
+    text written to CONFIG first, or None.  Paths are relative to the run
+    directory."""
+    se_file = ("se-file", ["se", "--freq-ghz", "28", "--elements", "4", "--range-m", "0.2",
+                           "--json", "--config", CONFIG], ALL_KEYS)
+    unknown_key = ("refuse-unknown-key", BOUNDARIES_28, {"tolerances": {"delta_unknown": 1.0}})
     if quick:
         return [
             ("curve-se-28GHz-N4", ["curve", "--metric", "se", "--freq-ghz", "28", "--elements",
                                    "4", "--r-start", "0.05", "--r-stop", "50", "--r-points",
-                                   "20", "--coarse-angles", "181", "--out", "curve.csv"]),
+                                   "20", "--coarse-angles", "181", "--out", "curve.csv"], None),
             ("se-28GHz-N4-30deg", ["se", "--freq-ghz", "28", "--elements", "4", "--range-m",
-                                   "0.2", "--theta-deg", "30", "--json"]),
+                                   "0.2", "--theta-deg", "30", "--json"], None),
             ("boundaries-28GHz-N4", ["boundaries", "--freq-ghz", "28", "--elements", "4",
-                                     "--json", *FAST]),
+                                     "--json", *FAST], None),
+            se_file,
+            unknown_key,
         ]
-    calls = [("reproduce-fig3-se", ["reproduce", "fig3-se", "--out-dir", "out"])]
+    calls = [("reproduce-fig3-se", ["reproduce", "fig3-se", "--out-dir", "out"], None)]
     calls += [
         (f"reproduce-{name}", ["reproduce", name, "--out-dir", "out", *FAST,
-                               "--curve-points", "50"])
+                               "--curve-points", "50"], None)
         for name in ("fig2-linf", "fig2-l2")
     ]
     calls += [
         (f"curve-{metric}-28GHz-N{n}",
          ["curve", "--metric", metric, "--freq-ghz", "28", "--elements", str(n),
-          "--r-start", "0.05", "--r-stop", "500", "--r-points", "200", "--out", "curve.csv"])
+          "--r-start", "0.05", "--r-stop", "500", "--r-points", "200", "--out", "curve.csv"],
+         None)
         for metric in ("linf", "l2", "se") for n in (4, 16, 64)
     ]
-    calls += [
+    huge = ["--freq-ghz", "1e160", "--elements", "4", "--spacing-m", "1e150"]
+    curve_file = ["curve", "--metric", "se", "--freq-ghz", "28", "--elements", "4", "--r-start",
+                  "0.05", "--r-stop", "50", "--r-points", "20", "--out", "curve.csv"]
+    return calls + [
         ("se-28GHz-N16-30deg", ["se", "--freq-ghz", "28", "--elements", "16", "--range-m",
-                                "0.5", "--theta-deg", "30", "--json"]),
+                                "0.5", "--theta-deg", "30", "--json"], None),
         ("se-28GHz-N16-worst", ["se", "--freq-ghz", "28", "--elements", "16", "--range-m",
-                                "0.5", "--json"]),
+                                "0.5", "--json"], None),
         ("boundaries-300GHz-N64", ["boundaries", "--freq-ghz", "300", "--elements", "64",
-                                   "--json"]),
+                                   "--json"], None),
+        ("curve-kD-overflow", ["curve", "--metric", "linf", *huge, "--r-start", "1",
+                               "--r-stop", "2", "--r-points", "3", "--out", "curve.csv"], None),
+        ("se-kD-overflow", ["se", *huge, "--range-m", "1"], None),
+        ("boundaries-kD-overflow", ["boundaries", *huge], None),
+        ("se-below-min-range", ["se", "--freq-ghz", "28", "--elements", "4",
+                                "--range-m", "1e-170"], None),
+        ("boundaries-file", [*BOUNDARIES_28, "--json"], ALL_KEYS),
+        ("boundaries-flags-over-file", [*BOUNDARIES_28, "--json", *ALL_FLAGS], ALL_KEYS),
+        ("curve-file", [*curve_file, "--config", CONFIG], ALL_KEYS),
+        se_file,
+        unknown_key,
+        ("refuse-fractional-pilot-len", BOUNDARIES_28, {"budget": {"pilot_len": 63.5}}),
+        ("refuse-overflowing-db-flag", [*BOUNDARIES_28, "--pilot-snr-db", "4000"], ALL_KEYS),
+        ("refuse-overflowing-db-key", BOUNDARIES_28, {"budget": {"pilot_snr_db": 4000}}),
+        # a flag over the key does not save a key that overflows
+        ("refuse-overflowing-db-key-under-flag", [*BOUNDARIES_28, "--pilot-snr-db", "30"],
+         {"budget": {"pilot_snr_db": 4000}}),
+        ("refuse-underflowing-db-flag", [*BOUNDARIES_28, "--data-snr-db", "-4000"], ALL_KEYS),
+        ("refuse-underflowing-db-key", BOUNDARIES_28, {"budget": {"data_snr_db": -4000}}),
+        ("refuse-malformed-json", BOUNDARIES_28, "{not json"),
     ]
-    return calls
 
 
 def _sha256(data: bytes) -> str:
@@ -152,8 +204,11 @@ def entries(tree: Path, quick: bool) -> dict:
     for f, n in [(28, 4)] if quick else [(10, 5), (28, 16), (300, 64)]:
         cfg = nearfield.ArrayConfig(carrier_freq=f * 1e9, n_elements=n)
         _guard(out, f"epf_distance/{f}GHz-N{n}", lambda: repr(nearfield.epf_distance(cfg, 1e-3)))
-    for label, argv in _cli_calls(quick):
+    for label, argv, config in _cli_calls(quick):
         with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+            if config is not None:
+                text = config if isinstance(config, str) else json.dumps(config)
+                (Path(tmp) / CONFIG).write_text(text, encoding="utf-8")
             stdout, stderr = io.StringIO(), io.StringIO()
             cwd = os.getcwd()
             os.chdir(tmp)
@@ -169,7 +224,7 @@ def entries(tree: Path, quick: bool) -> dict:
                 for name, value in _json_leaves(json.loads(stdout.getvalue())).items():
                     out[f"cli/{label}/json{name}"] = value
             for path in sorted(Path(tmp).rglob("*")):
-                if path.is_file():
+                if path.is_file() and path.name != CONFIG:
                     rel = path.relative_to(tmp).as_posix()
                     for name, value in _file_entries(path).items():
                         out[f"cli/{label}/{rel}/{name}"] = value

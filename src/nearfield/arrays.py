@@ -92,6 +92,12 @@ class ArrayConfig:
         # a tiny carrier frequency can still overflow the default spacing
         if not 0.0 < self.spacing < math.inf:
             raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
+        # 2*k*D bounds every phase gap the metrics compute; one element has
+        # none.  Written without the wavelength, which may underflow to 0.
+        phase = 4.0 * math.pi * self.carrier_freq / self.light_speed * self.aperture
+        if self.aperture and not math.isfinite(phase):
+            raise ValueError(f"carrier_freq {self.carrier_freq} Hz and spacing {self.spacing} m "
+                             f"(aperture {self.aperture} m) overflow the phase 2*k*D")
 
     @property
     def wavelength(self) -> float:

@@ -9,14 +9,14 @@ import math
 import sys
 from pathlib import Path
 
-from .arrays import ArrayConfig, DegenerateGeometryError, PolarPosition
+from .arrays import ArrayConfig, DegenerateGeometryError, PolarPosition, require_ranges
 from .boundaries import (
     EnvelopeSearchPolicy,
     HorizonExceededError,
     Tolerances,
     boundary_set,
 )
-from .link import LinkBudget, DEFAULT_BUDGET, se_loss, se_loss_worst
+from .link import DEFAULT_BUDGET, se_loss, se_loss_worst
 from .metrics import THETA_OPEN_MIN, AngleSearchPolicy, worker_count
 from .sweep import (
     METRIC_NAMES,
@@ -38,22 +38,29 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 
 
-class CliConfigError(ValueError):
-    """The --config file is malformed or contains invalid values."""
+# One row per setting: (section, --config key, field, flag or None, flag type,
+# flag help).  Each command names the sections it takes; a `_db` key or flag
+# sets its field to the linear ratio.
+_SETTINGS = (
+    ("array", "spacing_m", "spacing", "--spacing-m", float,
+     "element spacing in meters (default: half wavelength)"),
+    ("array", "light_speed", "light_speed", None, None, None),
+    ("tolerances", "delta_inf", "delta_inf", "--delta-inf", float, "per-meter tolerance"),
+    ("tolerances", "delta_2", "delta_2", "--delta-2", float, "dimensionless tolerance"),
+    ("tolerances", "delta_se", "delta_se", "--delta-se", float, "SE tolerance in bits/s/Hz"),
+    ("budget", "pilot_snr_db", "pilot_snr", "--pilot-snr-db", float, "pilot SNR in dB"),
+    ("budget", "data_snr_db", "data_snr", "--data-snr-db", float, "data SNR in dB"),
+    ("budget", "pilot_len", "pilot_len", "--pilot-len", int, "pilot sequence length"),
+    ("angle_policy", "coarse_grid_points", "coarse_grid_points", "--coarse-angles", int,
+     "coarse angle-grid size override"),
+    ("envelope_policy", "r_min", "r_min", None, None, None),
+    ("envelope_policy", "points_per_decade", "points_per_decade", "--points-per-decade", int,
+     "envelope scan density override"),
+)
 
-
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-# settings sections take their keys from the dataclass fields; `array` and
-# `budget` keys are file names (spacing_m, *_snr_db in dB), not field names
 _CONFIG_SECTIONS = {
-    "array": ("spacing_m", "light_speed"),
-    "tolerances": _field_names(Tolerances),
-    "budget": ("pilot_snr_db", "data_snr_db", "pilot_len"),
-    "angle_policy": _field_names(AngleSearchPolicy),
-    "envelope_policy": _field_names(EnvelopeSearchPolicy),
+    section: tuple(key for s, key, *_ in _SETTINGS if s == section)
+    for section in dict.fromkeys(row[0] for row in _SETTINGS)
 }
 
 
@@ -62,35 +69,28 @@ def _load_config_file(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise CliConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CliConfigError("config file must contain a JSON object")
+        raise ValueError("config file must contain a JSON object")
     for section, body in doc.items():
         if section not in _CONFIG_SECTIONS:
-            raise CliConfigError(f"unknown config section {section!r}")
+            raise ValueError(f"unknown config section {section!r}")
         if not isinstance(body, dict):
-            raise CliConfigError(f"config section {section!r} must be an object")
+            raise ValueError(f"config section {section!r} must be an object")
         for key, value in body.items():
             if key not in _CONFIG_SECTIONS[section]:
-                raise CliConfigError(f"unknown key {section}.{key}")
+                raise ValueError(f"unknown key {section}.{key}")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise CliConfigError(f"{section}.{key} must be a number, got {value!r}")
+                raise ValueError(f"{section}.{key} must be a number, got {value!r}")
     return doc
 
 
-def _overlay(base, file_section: dict, **flags):
-    """`base` with config-file values over it and the flags that were given
-    (not None) over those: CLI flag > config file > `base`."""
-    given = {k: v for k, v in flags.items() if v is not None}
-    return dataclasses.replace(base, **{**file_section, **given})
-
-
-def _db_to_linear(name: str, db: float | None) -> float | None:
+def _db_to_linear(name: str, db: float) -> float:
     """The linear ratio of `db` decibels; one that overflows or is 0 is refused by name."""
     try:
-        linear = None if db is None else 10.0 ** (db / 10.0)
+        linear = 10.0 ** (db / 10.0)
     except OverflowError:
         raise ValueError(f"{name} {db} dB overflows as a linear ratio") from None
     if linear == 0.0:
@@ -98,72 +98,27 @@ def _db_to_linear(name: str, db: float | None) -> float | None:
     return linear
 
 
-def _budget_from(args, file_cfg: dict) -> LinkBudget:
-    section = {
-        key.removesuffix("_db"): _db_to_linear(f"budget.{key}", value)
-        if key.endswith("_db") else value
-        for key, value in file_cfg.get("budget", {}).items()
-    }
-    return _overlay(DEFAULT_BUDGET, section,
-                    pilot_snr=_db_to_linear("--pilot-snr-db", args.pilot_snr_db),
-                    data_snr=_db_to_linear("--data-snr-db", args.data_snr_db),
-                    pilot_len=args.pilot_len)
+def _section(args, file_cfg: dict, section: str) -> dict:
+    """The fields of `section` that the file or a flag sets, a given flag over
+    the file's key.  A dB value becomes its linear ratio, refused under its
+    own key or flag; the file's values are converted first."""
+    rows = [row for row in _SETTINGS if row[0] == section]
+    fields = {key: field for _, key, field, *_ in rows}
+    given = [(f"{section}.{key}", key, value) for key, value in file_cfg.get(section, {}).items()]
+    # a command without the flag leaves the file's key
+    given += [(flag, key, getattr(args, flag[2:].replace("-", "_"), None))
+              for _, key, _, flag, *_ in rows if flag]
+    return {fields[key]: _db_to_linear(source, value) if key.endswith("_db") else value
+            for source, key, value in given if value is not None}
 
 
-def _tolerances_from(args, file_cfg: dict) -> Tolerances:
-    return _overlay(Tolerances(), file_cfg.get("tolerances", {}),
-                    delta_inf=args.delta_inf, delta_2=args.delta_2, delta_se=args.delta_se)
-
-
-def _array_from(args, file_cfg: dict) -> ArrayConfig:
-    section = {
-        "spacing" if key == "spacing_m" else key: value
-        for key, value in file_cfg.get("array", {}).items()
-    }
-    if args.spacing_m is not None:
-        section["spacing"] = args.spacing_m
-    return ArrayConfig(carrier_freq=args.freq_ghz * 1e9, n_elements=args.elements, **section)
-
-
-def _angle_policy_from(args, file_cfg: dict) -> AngleSearchPolicy:
-    # `se` has no --coarse-angles flag
-    return _overlay(AngleSearchPolicy(), file_cfg.get("angle_policy", {}),
-                    coarse_grid_points=getattr(args, "coarse_angles", None))
-
-
-def _envelope_policy_from(args, file_cfg: dict) -> EnvelopeSearchPolicy:
-    return _overlay(EnvelopeSearchPolicy(), file_cfg.get("envelope_policy", {}),
-                    points_per_decade=args.points_per_decade)
-
-
-def _add_array_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--freq-ghz", type=float, required=True, help="carrier frequency in GHz")
-    p.add_argument("--elements", type=int, required=True, help="number of array elements")
-    p.add_argument("--spacing-m", type=float, default=None, dest="spacing_m",
-                   help="element spacing in meters (default: half wavelength)")
-
-
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pilot-snr-db", type=float, default=None, help="pilot SNR in dB")
-    p.add_argument("--data-snr-db", type=float, default=None, help="data SNR in dB")
-    p.add_argument("--pilot-len", type=int, default=None, help="pilot sequence length")
-
-
-def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta-inf", type=float, default=None, help="per-meter tolerance")
-    p.add_argument("--delta-2", type=float, default=None, help="dimensionless tolerance")
-    p.add_argument("--delta-se", type=float, default=None, help="SE tolerance in bits/s/Hz")
-
-
-def _add_angle_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coarse-angles", type=int, default=None,
-                   help="coarse angle-grid size override")
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points-per-decade", type=int, default=None,
-                   help="envelope scan density override")
-    _add_angle_flag(p)
+def _add_settings_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    if "array" in sections:
+        p.add_argument("--freq-ghz", type=float, required=True, help="carrier frequency in GHz")
+        p.add_argument("--elements", type=int, required=True, help="number of array elements")
+    for section, _, _, flag, kind, text in _SETTINGS:
+        if section in sections and flag:
+            p.add_argument(flag, type=kind, help=text)
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -172,11 +127,12 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
 
 def cmd_boundaries(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    cfg = _array_from(args, file_cfg)
-    tol = _tolerances_from(args, file_cfg)
-    budget = _budget_from(args, file_cfg)
+    cfg = ArrayConfig(args.freq_ghz * 1e9, args.elements, **_section(args, file_cfg, "array"))
+    tol = Tolerances(**_section(args, file_cfg, "tolerances"))
+    budget = dataclasses.replace(DEFAULT_BUDGET, **_section(args, file_cfg, "budget"))
     bounds = boundary_set(
-        cfg, tol, budget, _angle_policy_from(args, file_cfg), _envelope_policy_from(args, file_cfg)
+        cfg, tol, budget, AngleSearchPolicy(**_section(args, file_cfg, "angle_policy")),
+        EnvelopeSearchPolicy(**_section(args, file_cfg, "envelope_policy")),
     )
     if args.json:
         doc = {
@@ -210,12 +166,13 @@ def cmd_boundaries(args) -> int:
 
 def cmd_curve(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    cfg = _array_from(args, file_cfg)
+    cfg = ArrayConfig(args.freq_ghz * 1e9, args.elements, **_section(args, file_cfg, "array"))
     grid = RangeGrid(args.r_start, args.r_stop, args.r_points).values()
+    budget = dataclasses.replace(DEFAULT_BUDGET, **_section(args, file_cfg, "budget"))
+    angle_policy = AngleSearchPolicy(**_section(args, file_cfg, "angle_policy"))
+    require_ranges("stop", args.r_stop, cfg.aperture)
     # curve output needs no transition radii: evaluate the grid directly
-    curve = metric_curve(
-        cfg, args.metric, grid, _budget_from(args, file_cfg), _angle_policy_from(args, file_cfg)
-    )
+    curve = metric_curve(cfg, args.metric, grid, budget, angle_policy)
     lines = curve_csv_lines([curve])
     if args.out == "-":
         write_lines(lines, sys.stdout)
@@ -227,14 +184,16 @@ def cmd_curve(args) -> int:
 
 def cmd_se(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
-    cfg = _array_from(args, file_cfg)
-    budget = _budget_from(args, file_cfg)
+    cfg = ArrayConfig(args.freq_ghz * 1e9, args.elements, **_section(args, file_cfg, "array"))
+    budget = dataclasses.replace(DEFAULT_BUDGET, **_section(args, file_cfg, "budget"))
+    require_ranges("range_m", args.range_m, cfg.aperture)
     if args.theta_deg is not None:
         pos = PolarPosition(theta=math.radians(args.theta_deg), range_m=args.range_m)
         report = se_loss(cfg, pos, budget)
         theta = pos.theta
     else:
-        worst = se_loss_worst(cfg, args.range_m, budget, _angle_policy_from(args, file_cfg))
+        angle_policy = AngleSearchPolicy(**_section(args, file_cfg, "angle_policy"))
+        worst = se_loss_worst(cfg, args.range_m, budget, angle_policy)
         # a worst angle on the grid endpoint needs the open-interval floor to
         # re-evaluate without touching the array axis
         theta = max(worst.theta_star, THETA_OPEN_MIN)
@@ -268,12 +227,13 @@ def cmd_se(args) -> int:
 
 def cmd_reproduce(args) -> int:
     spec = preset(args.preset)
-    spec = _overlay(
-        spec, {},
-        envelope_policy=_overlay(spec.envelope_policy, {},
-                                 points_per_decade=args.points_per_decade),
-        angle_policy=_overlay(spec.angle_policy, {}, coarse_grid_points=args.coarse_angles),
-        auto_grid_points=args.curve_points,
+    curve_points = {} if args.curve_points is None else {"auto_grid_points": args.curve_points}
+    spec = dataclasses.replace(
+        spec,
+        envelope_policy=dataclasses.replace(spec.envelope_policy,
+                                            **_section(args, {}, "envelope_policy")),
+        angle_policy=dataclasses.replace(spec.angle_policy, **_section(args, {}, "angle_policy")),
+        **curve_points,
     )
     out_dir = Path(args.out_dir) / args.preset
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,32 +277,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("boundaries", help="all transition radii for one configuration")
-    _add_array_flags(p)
-    _add_tolerance_flags(p)
-    _add_budget_flags(p)
-    _add_solver_flags(p)
+    _add_settings_flags(p, "array", "tolerances", "budget", "angle_policy", "envelope_policy")
     _add_config_flag(p)
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.set_defaults(func=cmd_boundaries)
 
     p = sub.add_parser("curve", help="worst-case metric curve over a range grid")
     p.add_argument("--metric", required=True, choices=METRIC_NAMES)
-    _add_array_flags(p)
+    _add_settings_flags(p, "array", "budget", "angle_policy")
     p.add_argument("--r-start", type=float, required=True, help="grid start in meters")
     p.add_argument("--r-stop", type=float, required=True, help="grid stop in meters")
     p.add_argument("--r-points", type=int, required=True, help="number of grid points")
     p.add_argument("--out", default="-", help="output CSV path, - for stdout")
-    _add_budget_flags(p)
-    _add_angle_flag(p)
     _add_config_flag(p)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("se", help="spectral-efficiency report at one range")
-    _add_array_flags(p)
+    _add_settings_flags(p, "array", "budget")
     p.add_argument("--range-m", type=float, required=True, help="range in meters")
     p.add_argument("--theta-deg", type=float, default=None,
                    help="look angle in degrees (default: worst case)")
-    _add_budget_flags(p)
     _add_config_flag(p)
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.set_defaults(func=cmd_se)
@@ -352,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, help="directory for the CSV bundle")
     p.add_argument("--curve-points", type=int, default=None,
                    help="points per curve override")
-    _add_solver_flags(p)
+    _add_settings_flags(p, "angle_policy", "envelope_policy")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -32,11 +32,20 @@ def test_config_invariants():
         dict(carrier_freq=1e9, n_elements=0),
         dict(carrier_freq=1e9, n_elements=4, spacing=-0.1),
         dict(carrier_freq=1e9, n_elements=4, light_speed=0.0),
+        # the phase bound 2*k*D overflows, also where the wavelength is 0
+        dict(carrier_freq=1e169, n_elements=4, spacing=1e150),
+        dict(carrier_freq=1e307, n_elements=4, spacing=1.0, light_speed=1e-30),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ArrayConfig(**kwargs)
+
+
+def test_one_element_has_no_phase_to_overflow():
+    # k overflows to inf, but a zero aperture leaves no phase gap
+    cfg = ArrayConfig(carrier_freq=1e307, n_elements=1, spacing=1.0, light_speed=1e-10)
+    assert cfg.aperture == 0.0
 
 
 def test_position_requires_positive_range():

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -10,8 +11,16 @@ import pytest
 
 import nearfield.link as link_mod
 import nearfield.sweep as sweep_mod
-from nearfield import AngleSearchPolicy, EnvelopeSearchPolicy, HorizonExceededError, Tolerances, cli
-from nearfield.arrays import MAX_ELEMENTS, MAX_RANGE_M
+from nearfield import (
+    DEFAULT_BUDGET,
+    AngleSearchPolicy,
+    ArrayConfig,
+    EnvelopeSearchPolicy,
+    HorizonExceededError,
+    Tolerances,
+    cli,
+)
+from nearfield.arrays import MAX_ELEMENTS, MAX_RANGE_M, MIN_RANGE_M
 from nearfield.boundaries import MAX_GRID_POINTS
 from nearfield.metrics import MAX_ANGLE_POINTS, MAX_ROW_CELLS
 
@@ -179,10 +188,10 @@ def test_spacing_flag_overrides_the_config_file(tmp_path):
 
     def built(*extra):
         args = cli.build_parser().parse_args(argv + list(extra))
-        return cli._array_from(args, cli._load_config_file(args.config))
+        return cli._section(args, cli._load_config_file(args.config), "array")
 
-    assert built().spacing == 0.05
-    assert built("--spacing-m", "0.02").spacing == 0.02
+    assert built() == {"spacing": 0.05}
+    assert built("--spacing-m", "0.02") == {"spacing": 0.02}
 
 
 def test_config_file_precedence(capsys, tmp_path):
@@ -206,41 +215,40 @@ def test_config_file_precedence(capsys, tmp_path):
     assert flag_radius == default_radius  # flag overrides the file
 
 
-# (builder, config section, settings class, flag per field where one exists)
-SETTINGS = (
-    (cli._tolerances_from, "tolerances", Tolerances,
-     {"delta_inf": "--delta-inf", "delta_2": "--delta-2", "delta_se": "--delta-se"}),
-    (cli._angle_policy_from, "angle_policy", AngleSearchPolicy,
-     {"coarse_grid_points": "--coarse-angles"}),
-    (cli._envelope_policy_from, "envelope_policy", EnvelopeSearchPolicy,
-     {"points_per_decade": "--points-per-decade"}),
-)
-OVERLAY_CASES = [
-    (build, section, cls, f.name, flags.get(f.name))
-    for build, section, cls, flags in SETTINGS
-    for f in dataclasses.fields(cls)
-]
+# section -> a builder of its settings object from the fields given
+SECTIONS = {
+    "array": lambda **fields: ArrayConfig(10e9, 5, **fields),
+    "tolerances": Tolerances,
+    "budget": lambda **fields: dataclasses.replace(DEFAULT_BUDGET, **fields),
+    "angle_policy": AngleSearchPolicy,
+    "envelope_policy": EnvelopeSearchPolicy,
+}
 
 
 @pytest.mark.parametrize(
-    "build, section, cls, name, flag", OVERLAY_CASES,
-    ids=[f"{section}.{name}" for _, section, _, name, _ in OVERLAY_CASES],
+    "section, key, field, flag", [row[:4] for row in cli._SETTINGS],
+    ids=[f"{row[0]}.{row[1]}" for row in cli._SETTINGS],
 )
-def test_config_file_and_flag_reach_every_setting(tmp_path, build, section, cls, name, flag):
-    default = getattr(cls(), name)
-    file_value = 2 * (0.25 if default is None else default)
+def test_config_file_and_flag_reach_every_setting(tmp_path, section, key, field, flag):
+    build = SECTIONS[section]
+    base = getattr(build(), field)
+    if key.endswith("_db"):
+        file_value, flag_value = 25.0, 35.0
+        file_field, flag_field = 10.0 ** (25.0 / 10.0), 10.0 ** (35.0 / 10.0)
+    else:
+        file_value = file_field = 2 * (0.25 if base is None else base)
+        flag_value = flag_field = 3 * (0.25 if base is None else base)
     path = tmp_path / "settings.json"
-    path.write_text(json.dumps({section: {name: file_value}}))
+    path.write_text(json.dumps({section: {key: file_value}}))
     argv = ["boundaries", "--freq-ghz", "10", "--elements", "5", "--config", str(path)]
 
     def built(*extra):
         args = cli.build_parser().parse_args(argv + list(extra))
-        return build(args, cli._load_config_file(args.config))
+        return build(**cli._section(args, cli._load_config_file(args.config), section))
 
-    assert built() == dataclasses.replace(cls(), **{name: file_value})
+    assert built() == build(**{field: file_field})
     if flag is not None:
-        flag_value = 3 * default
-        assert built(flag, repr(flag_value)) == dataclasses.replace(cls(), **{name: flag_value})
+        assert built(flag, repr(flag_value)) == build(**{field: flag_field})
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
@@ -464,6 +472,65 @@ def test_bad_thread_count_exits_2(capsys, monkeypatch):
         assert code == 2 and "NEARFIELD_THREADS must be an integer" in err and not out
 
 
+ARRAY_FLAGS = {
+    "--freq-ghz": (float, None, True, "carrier frequency in GHz"),
+    "--elements": (int, None, True, "number of array elements"),
+    "--spacing-m": (float, None, False, "element spacing in meters (default: half wavelength)"),
+}
+BUDGET_FLAGS = {
+    "--pilot-snr-db": (float, None, False, "pilot SNR in dB"),
+    "--data-snr-db": (float, None, False, "data SNR in dB"),
+    "--pilot-len": (int, None, False, "pilot sequence length"),
+}
+ANGLE_FLAG = {"--coarse-angles": (int, None, False, "coarse angle-grid size override")}
+SCAN_FLAG = {"--points-per-decade": (int, None, False, "envelope scan density override")}
+CONFIG_FLAG = {"--config": (None, None, False, "JSON file with default settings")}
+JSON_FLAG = {"--json": (None, False, False, "emit a JSON document")}
+# command -> option string -> (type, default, required, help)
+COMMAND_FLAGS = {
+    "boundaries": {
+        **ARRAY_FLAGS,
+        "--delta-inf": (float, None, False, "per-meter tolerance"),
+        "--delta-2": (float, None, False, "dimensionless tolerance"),
+        "--delta-se": (float, None, False, "SE tolerance in bits/s/Hz"),
+        **BUDGET_FLAGS, **ANGLE_FLAG, **SCAN_FLAG, **CONFIG_FLAG, **JSON_FLAG,
+    },
+    "curve": {
+        "--metric": (None, None, True, None),
+        **ARRAY_FLAGS,
+        "--r-start": (float, None, True, "grid start in meters"),
+        "--r-stop": (float, None, True, "grid stop in meters"),
+        "--r-points": (int, None, True, "number of grid points"),
+        "--out": (None, "-", False, "output CSV path, - for stdout"),
+        **BUDGET_FLAGS, **ANGLE_FLAG, **CONFIG_FLAG,
+    },
+    "se": {
+        **ARRAY_FLAGS,
+        "--range-m": (float, None, True, "range in meters"),
+        "--theta-deg": (float, None, False, "look angle in degrees (default: worst case)"),
+        **BUDGET_FLAGS, **CONFIG_FLAG, **JSON_FLAG,
+    },
+    "reproduce": {
+        "--out-dir": (None, None, True, "directory for the CSV bundle"),
+        "--curve-points": (int, None, False, "points per curve override"),
+        **SCAN_FLAG, **ANGLE_FLAG,
+    },
+}
+
+
+def test_each_command_keeps_its_flags():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(COMMAND_FLAGS)
+    for command, parser in subparsers.choices.items():
+        flags = {
+            action.option_strings[0]: (action.type, action.default, action.required, action.help)
+            for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        }
+        assert flags == COMMAND_FLAGS[command], command
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["boundaries", "--elements", "4"])  # missing --freq-ghz
@@ -611,12 +678,17 @@ def test_reproduce_solver_failure_exits_3_and_writes_the_bundle(capsys, tmp_path
 
 
 def test_readme_lists_every_config_key():
-    # README lines of the form "- `section`: `key`, `key`, ..."
-    listed = {
-        m.group(1): tuple(re.findall(r"`(\w+)`", m.group(2)))
-        for m in re.finditer(r"^- `(\w+)`: ((?:`\w+`(?:, )?)+)$", README.read_text(), re.M)
-    }
-    assert listed == cli._CONFIG_SECTIONS
+    # README table rows of the form "| `section.key` | `--flag` or - | `command`, ... |"
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| (?:`(--[\w-]+)`|-) \| (.+) \|$",
+                      README.read_text(), re.M)
+    assert [(section, key, flag or None) for section, key, flag, _ in rows] == [
+        row[:2] + row[3:4] for row in cli._SETTINGS
+    ]
+    # the commands listed without "(key only)" are those that take the flag
+    for _, _, flag, commands in rows:
+        if flag:
+            takes = [m.group(1) for m in re.finditer(r"`(\w+)`(?! \(key only\))", commands)]
+            assert takes == [name for name, flags in COMMAND_FLAGS.items() if flag in flags]
 
 
 @pytest.mark.filterwarnings("error")
@@ -665,30 +737,62 @@ def test_se_reports_a_subnormal_gain_with_finite_numbers(capsys):
     assert all(math.isfinite(v) for v in doc.values() if isinstance(v, float))
 
 
-# argv -> the aperture the refusal names, for arrays whose distances overflow
-# where a range meets them (r + D > MAX_RANGE_M)
+# argv -> the flag's name, the aperture and the range the refusal names, for
+# arrays whose distances overflow where a range meets them (r + D > MAX_RANGE_M)
 OVERFLOWING_APERTURES = {
     "curve_linf": ("curve --metric linf --freq-ghz 28 --elements 4 --spacing-m 1e160 "
-                   "--r-start 1 --r-stop 2 --r-points 3", "ranges", "3e+160"),
+                   "--r-start 1 --r-stop 2 --r-points 3", "stop", "3e+160", "2.0"),
     "curve_l2": ("curve --metric l2 --freq-ghz 28 --elements 4 --spacing-m 1e200 "
-                 "--r-start 1 --r-stop 2 --r-points 3", "ranges", "3e+200"),
+                 "--r-start 1 --r-stop 2 --r-points 3", "stop", "3e+200", "2.0"),
     # the default spacing of a 1e-291 Hz carrier is 1.5e299 m
     "curve_se": ("curve --metric se --freq-ghz 1e-300 --elements 4 "
-                 "--r-start 1 --r-stop 2 --r-points 3", "ranges", "4.5e+299"),
+                 "--r-start 1 --r-stop 2 --r-points 3", "stop", "4.5e+299", "2.0"),
     "se_worst_case": ("se --freq-ghz 28 --elements 4 --spacing-m 1e200 --range-m 1",
-                      "ranges", "3e+200"),
+                      "range_m", "3e+200", "1.0"),
     "se_fixed_angle": ("se --freq-ghz 28 --elements 4 --spacing-m 1e200 --range-m 1 "
-                       "--theta-deg 30", "range_m", "3e+200"),
+                       "--theta-deg 30", "range_m", "3e+200", "1.0"),
 }
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "argv, name, aperture", OVERFLOWING_APERTURES.values(), ids=OVERFLOWING_APERTURES.keys()
+    "argv, name, aperture, value", OVERFLOWING_APERTURES.values(),
+    ids=OVERFLOWING_APERTURES.keys(),
 )
-def test_apertures_that_overflow_the_distances_exit_2(capsys, argv, name, aperture):
+def test_apertures_that_overflow_the_distances_exit_2(capsys, argv, name, aperture, value):
     # these wrote nan rows with exit 0, or warned and then refused a nan eta
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and not out
     assert err == (f"error: {name} must be at most {MAX_RANGE_M!r} less the aperture "
-                   f"{aperture} m, got 1.0\n")
+                   f"{aperture} m, got {value}\n")
+
+
+def test_se_names_range_m_below_the_smallest_range(capsys):
+    # the worst-case path named the library's batch argument, `ranges`
+    for extra in ([], ["--theta-deg", "3"]):
+        code, out, err = run_cli(capsys, "se", "--freq-ghz", "28", "--elements", "4",
+                                 "--range-m", "1e-170", *extra)
+        assert code == 2 and not out
+        assert err == f"error: range_m must be at least {MIN_RANGE_M!r} m, got 1e-170\n"
+
+
+# argv of each command on an array whose phase 2*k*D overflows: k = 2.1e161
+# rad/m, D = 3e150 m
+HUGE_PHASE = "--freq-ghz 1e160 --elements 4 --spacing-m 1e150"
+OVERFLOWING_PHASES = {
+    "curve_linf": f"curve --metric linf {HUGE_PHASE} --r-start 1 --r-stop 2 --r-points 3",
+    "curve_se": f"curve --metric se {HUGE_PHASE} --r-start 1 --r-stop 2 --r-points 3",
+    "se": f"se {HUGE_PHASE} --range-m 1",
+    "boundaries": f"boundaries {HUGE_PHASE}",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", OVERFLOWING_PHASES.values(), ids=OVERFLOWING_PHASES.keys())
+def test_arrays_whose_phase_overflows_exit_2(capsys, argv):
+    # curve warned and wrote nan rows with exit 0, se warned and refused a
+    # gain, boundaries exited 3 on an infinite scan end
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and not out
+    assert err == ("error: carrier_freq 1e+169 Hz and spacing 1e+150 m "
+                   "(aperture 2.9999999999999998e+150 m) overflow the phase 2*k*D\n")
