@@ -30,7 +30,16 @@ The fixed set:
   with that file;
 - refusals: an unknown key, a fractional `pilot_len`, dB values that
   overflow or underflow (by flag and by key), malformed JSON, an array whose
-  phase 2*k*D overflows and a range below the smallest one.
+  phase 2*k*D overflows and a range below the smallest one;
+- one element: `boundaries --json` at 1 and 28 GHz, `curve` linf and se at
+  1 GHz, and `se --json` at the worst-case angle;
+- inputs at the edges of the float range: SE arithmetic that over- or
+  underflows (`curve` at 1e-100 m and at a 3000 dB data SNR, `se` at a
+  1e-154 GHz carrier), an l2 bound beyond the largest range, at two
+  spacings, and an infinite or NaN `--theta-deg`.
+
+Each CLI call prints every warning it raises, once per source line, so a
+warning lands in the stderr entry of each call that raises it.
 
 `--quick` keeps two solves at 28 GHz, one bound of each kind, one curve, one
 call of each of `se` and `boundaries` at reduced search densities, one call
@@ -51,6 +60,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,6 +153,39 @@ def _cli_calls(quick: bool):
         ("refuse-underflowing-db-flag", [*BOUNDARIES_28, "--data-snr-db", "-4000"], ALL_KEYS),
         ("refuse-underflowing-db-key", BOUNDARIES_28, {"budget": {"data_snr_db": -4000}}),
         ("refuse-malformed-json", BOUNDARIES_28, "{not json"),
+        *_single_element_calls(),
+        *_edge_calls(),
+    ]
+
+
+def _single_element_calls():
+    one = ["--elements", "1"]
+    calls = [(f"boundaries-{f}GHz-N1", ["boundaries", "--freq-ghz", f, *one, "--json"], None)
+             for f in ("1", "28")]
+    calls += [(f"curve-{metric}-1GHz-N1",
+               ["curve", "--metric", metric, "--freq-ghz", "1", *one, "--r-start", "1.5",
+                "--r-stop", "150", "--r-points", "200", "--out", "curve.csv"], None)
+              for metric in ("linf", "se")]
+    return calls + [("se-1GHz-N1-worst", ["se", "--freq-ghz", "1", *one, "--range-m", "31.8",
+                                          "--json"], None)]
+
+
+def _edge_calls():
+    curve_se = ["curve", "--metric", "se", "--r-points", "2"]
+    l2_tiny = ["boundaries", "--freq-ghz", "1", "--elements", "16", "--delta-2", "1e-160"]
+    se_28 = ["se", "--freq-ghz", "28", "--elements", "4", "--range-m", "1"]
+    return [
+        ("curve-se-tiny-ranges", [*curve_se, "--freq-ghz", "28", "--elements", "4",
+                                  "--r-start", "1e-100", "--r-stop", "1e-99"], None),
+        ("curve-se-overflowing-snr", [*curve_se, "--freq-ghz", "1e-9", "--elements", "3",
+                                      "--r-start", "0.5", "--r-stop", "1",
+                                      "--data-snr-db", "3000"], None),
+        ("se-overflowing-gain", ["se", "--freq-ghz", "1e-154", "--elements", "2",
+                                 "--range-m", "1e-3"], None),
+        ("boundaries-l2-bound-beyond-largest-range", [*l2_tiny, "--spacing-m", "0.5"], None),
+        ("boundaries-l2-square-overflows", l2_tiny, None),
+        ("se-theta-inf", [*se_28, "--theta-deg", "inf"], None),
+        ("se-theta-nan", [*se_28, "--theta-deg", "nan"], None),
     ]
 
 
@@ -213,7 +256,9 @@ def entries(tree: Path, quick: bool) -> dict:
             cwd = os.getcwd()
             os.chdir(tmp)
             try:
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("default")
                     code = cli.main(argv)
             finally:
                 os.chdir(cwd)
