@@ -472,24 +472,8 @@ def boundary_set(
     envelope_policy = envelope_policy or EnvelopeSearchPolicy()
     r_min = resolve_r_min(cfg, envelope_policy)
     rayleigh = rayleigh_distance(cfg)
-    if cfg.n_elements == 1:
-        # zero aperture: both models coincide, every metric is identically zero
-        return BoundarySet(
-            rayleigh=0.0,
-            epf=0.0,
-            spf=0.0,
-            sspf=0.0,
-            opt_linf=r_min,
-            opt_l2=r_min,
-            opt_se=r_min,
-            opt_linf_certified=True,
-            opt_l2_certified=True,
-            opt_se_certified=True,
-        )
     block = block_rows(cfg, angle_policy)  # refuses an oversized row before any scan
     sspf = sspf_distance(cfg, tol.delta_inf)
-    spf = spf_distance(cfg, tol.delta_inf)
-    epf = epf_distance(cfg, tol.delta_inf, envelope_policy)
 
     def solve(point, batch, args, delta, **bounds):
         # the kernels are this module's globals read per call: wrapped names take effect
@@ -499,13 +483,21 @@ def boundary_set(
             block=block, **bounds,
         )
 
-    opt_linf = solve(e_linf_worst, e_linf_worst_batch, (angle_policy,), tol.delta_inf,
-                     analytic_bound=spf, proven_bound=linf_mismatch_bound(cfg, tol.delta_inf))
-    opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2,
-                   analytic_bound=l2_certification_bound(cfg, tol.delta_2),
-                   proven_bound=l2_mismatch_bound(cfg, tol.delta_2))
+    if cfg.n_elements == 1:
+        # zero aperture: the mismatch vanishes, but SE keeps its pilot-noise floor
+        spf = epf = 0.0
+        opt_linf = opt_l2 = OptimalRadius(radius=r_min, certified=True)
+    else:
+        spf = spf_distance(cfg, tol.delta_inf)
+        epf = epf_distance(cfg, tol.delta_inf, envelope_policy)
+        opt_linf = solve(e_linf_worst, e_linf_worst_batch, (angle_policy,), tol.delta_inf,
+                         analytic_bound=spf,
+                         proven_bound=linf_mismatch_bound(cfg, tol.delta_inf))
+        opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2,
+                       analytic_bound=l2_certification_bound(cfg, tol.delta_2),
+                       proven_bound=l2_mismatch_bound(cfg, tol.delta_2))
     opt_se = solve(se_loss_worst, se_loss_worst_batch, (budget, angle_policy), tol.delta_se,
-                   heuristic_horizon=max(rayleigh, sspf),
+                   heuristic_horizon=max(rayleigh, sspf, r_min),
                    proven_bound=se_gain_bound(cfg, tol.delta_se, budget))
     return BoundarySet(
         rayleigh=rayleigh,

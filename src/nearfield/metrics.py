@@ -295,8 +295,6 @@ def worst_over_angle_batch(
     """
     r_values = np.asarray(r_values, dtype=float)
     require_ranges("ranges", r_values, cfg.aperture)
-    if cfg.n_elements == 1:
-        return np.zeros_like(r_values), np.zeros_like(r_values)
     thetas = _angle_grid(policy)
     cos_row = _clamped_cos(thetas)[None, :]
     n_t = len(thetas)

@@ -30,7 +30,7 @@ from nearfield import (
 )
 from nearfield import boundaries
 from nearfield.boundaries import _SCAN_CHUNK, MAX_SCAN_FACTOR, _last_crossing, _log_grid
-from nearfield.link import DEFAULT_BUDGET, se_loss_worst_batch
+from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
 from nearfield.metrics import block_rows, e_l2_worst_batch, e_linf_worst_batch
 
 FAST_ANGLES = AngleSearchPolicy(coarse_grid_points=241)
@@ -445,12 +445,25 @@ def test_optimal_radius_never_again(cfg10_5):
 
 
 def test_boundary_set_single_element():
+    # zero aperture: linf and l2 vanish, but SE keeps its pilot-noise floor
     cfg = ArrayConfig(carrier_freq=1e9, n_elements=1)
     bounds = boundary_set(cfg)
     r_min = resolve_r_min(cfg, EnvelopeSearchPolicy())
     assert bounds.rayleigh == bounds.epf == bounds.spf == bounds.sspf == 0.0
-    assert bounds.opt_linf == bounds.opt_l2 == bounds.opt_se == r_min
-    assert bounds.opt_linf_certified and bounds.opt_l2_certified and bounds.opt_se_certified
+    assert bounds.opt_linf == bounds.opt_l2 == r_min
+    assert bounds.opt_linf_certified and bounds.opt_l2_certified
+    assert bounds.opt_se > r_min and not bounds.opt_se_certified
+
+
+@pytest.mark.parametrize("freq", [1e9, 28e9])
+def test_single_element_opt_se_is_a_crossing(freq):
+    # was pinned to r_min, where the loss is 1.35 bits/s/Hz at 1 GHz
+    cfg = ArrayConfig(carrier_freq=freq, n_elements=1)
+    radius = boundary_set(cfg).opt_se
+    delta = Tolerances().delta_se
+    below = radius * (1.0 - EnvelopeSearchPolicy.bisection_tol)
+    assert se_loss_worst(cfg, radius, DEFAULT_BUDGET).value < delta
+    assert se_loss_worst(cfg, below, DEFAULT_BUDGET).value >= delta
 
 
 def test_boundary_set_structure(cfg10_5):

@@ -86,7 +86,10 @@ def test_boundaries_single_element(capsys):
     assert code == 0
     bounds = json.loads(out)["boundaries"]
     assert bounds["rayleigh_m"] == 0.0 and bounds["spf_m"] == 0.0
-    assert bounds["opt_linf_m"] == bounds["opt_se_m"] > 0.0
+    assert bounds["opt_linf_m"] == bounds["opt_l2_m"] == 1.5  # r_min, ten spacings
+    # the pilot-noise floor alone sets opt_se, found by the SE scan
+    assert bounds["opt_se_m"] == pytest.approx(31.799, rel=1e-4)
+    assert not bounds["opt_se_certified"]
 
 
 def test_curve_stdout_two_points(capsys):
@@ -796,3 +799,4 @@ def test_arrays_whose_phase_overflows_exit_2(capsys, argv):
     assert code == 2 and not out
     assert err == ("error: carrier_freq 1e+169 Hz and spacing 1e+150 m "
                    "(aperture 2.9999999999999998e+150 m) overflow the phase 2*k*D\n")
+

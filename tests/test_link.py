@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from nearfield import (
+    DEFAULT_BUDGET,
+    THETA_OPEN_MIN,
     ArrayConfig,
     LinkBudget,
     PolarPosition,
@@ -20,6 +22,7 @@ from nearfield import (
     snr_mismatched,
     sspf_distance,
 )
+from nearfield.link import se_loss_worst_batch
 
 
 def test_budget_validation():
@@ -108,7 +111,22 @@ def test_se_loss_single_element_high_pilot_budget():
     report = se_loss(cfg, PolarPosition(theta=0.9, range_m=5.0), budget)
     assert report.eta == 1.0
     assert report.delta_se == pytest.approx(0.0, abs=1e-6)
-    assert se_loss_worst(cfg, 5.0, budget).value == 0.0  # single element short-circuits
+    # no look angle matters; the loss is the pilot-noise floor, a difference
+    # of two 11-bit SEs that the two paths round alike to about 1e-15
+    assert se_loss_worst(cfg, 5.0, budget).value == pytest.approx(report.delta_se, abs=1e-14)
+
+
+@pytest.mark.parametrize("freq", [1e9, 28e9, 300e9, 1e12])
+def test_single_element_worst_se_loss_is_the_pilot_noise_floor(freq):
+    # the worst case runs the general kernel: every angle gives the loss at
+    # eta = 1, which se_loss reports at any angle
+    cfg = ArrayConfig(carrier_freq=freq, n_elements=1)
+    ranges = np.geomspace(1e-3, 1e3, 40)
+    values, _ = se_loss_worst_batch(cfg, ranges, DEFAULT_BUDGET)
+    for r, value in zip(ranges, values):
+        report = se_loss(cfg, PolarPosition(theta=THETA_OPEN_MIN, range_m=r), DEFAULT_BUDGET)
+        assert value == pytest.approx(report.delta_se, rel=1e-12)
+        assert value > 0.0
 
 
 def test_se_loss_far_field(cfg10_5):

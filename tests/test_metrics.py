@@ -50,9 +50,14 @@ def test_single_element_metrics_vanish():
     assert e_linf_at(cfg, pos) == 0.0
     assert e_l2_at(cfg, pos) == 0.0
     assert array_gain_efficiency(cfg, pos) == 1.0
+    # the general kernels run: every angle ties, and ties take the first grid angle
     sample = e_linf_worst(cfg, 4.0)
-    assert sample.value == 0.0 and sample.theta_star == 0.0
+    assert sample.value == 0.0 and sample.theta_star == metrics.THETA_INSET
     assert e_l2_worst(cfg, 4.0).value == 0.0
+    ranges = np.geomspace(MIN_RANGE_M, MAX_RANGE_M, 120)
+    for batch in (e_linf_worst_batch, e_l2_worst_batch):
+        values, thetas = batch(cfg, ranges, AngleSearchPolicy(coarse_grid_points=31))
+        assert np.all(values == 0.0) and np.all(thetas == metrics.THETA_INSET)
 
 
 def test_pointwise_metrics_match_complex_arithmetic(cfg300):
