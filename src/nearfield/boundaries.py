@@ -9,7 +9,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .arrays import ArrayConfig, require_finite, require_whole
+from .arrays import MAX_RANGE_M, ArrayConfig, require_finite, require_whole
 from .link import DEFAULT_BUDGET, LinkBudget, se_loss_worst, se_loss_worst_batch
 from .metrics import (
     AngleSearchPolicy,
@@ -338,7 +338,9 @@ def _last_crossing(
     point at or below `proven_bound` (a range beyond which the metric
     provably stays below delta), else the horizon, and steps down one window
     at a time to the first that holds a violation: nothing below it can move
-    the last crossing.  `trailing`, as (r_from, limit, message) with
+    the last crossing.  A proven bound whose window reaches past
+    MAX_RANGE_M, where no range can be evaluated, raises
+    HorizonExceededError.  `trailing`, as (r_from, limit, message) with
     limit <= delta, requires every grid point at or beyond r_from to lie
     below limit, raising HorizonExceededError(message) otherwise.  Each
     window is checked before its violations, and a trailing point below the
@@ -348,7 +350,11 @@ def _last_crossing(
     last_candidate = len(grid) - 1
     if proven_bound is not None:
         last_candidate = max(int(np.searchsorted(grid, proven_bound, side="right")) - 1, 0)
-    for lo in range(last_candidate // block * block, -1, -block):
+    start = last_candidate // block * block
+    if proven_bound is not None and grid[min(start + block, len(grid)) - 1] > MAX_RANGE_M:
+        raise HorizonExceededError(f"proven bound {proven_bound} m puts the scan's first "
+                                   f"window beyond the largest range {MAX_RANGE_M!r} m")
+    for lo in range(start, -1, -block):
         window = grid[lo : lo + block]
         values = np.asarray(batch_metric(window), dtype=float)
         if trailing is not None:
@@ -405,8 +411,8 @@ def optimal_radius(
     Returns r_min when no scanned point violates the tolerance.
 
     A NaN, infinite or non-positive r_min, and a NaN or non-positive bound
-    or horizon, raise ValueError; an infinite one raises
-    HorizonExceededError.
+    or horizon, raise ValueError; an infinite one, or a proven bound whose
+    scan would start beyond MAX_RANGE_M, raises HorizonExceededError.
     """
     _require_positive("delta", delta)
     _require_positive("r_min", r_min)

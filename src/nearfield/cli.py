@@ -16,7 +16,7 @@ from .boundaries import (
     Tolerances,
     boundary_set,
 )
-from .link import DEFAULT_BUDGET, se_loss, se_loss_worst
+from .link import DEFAULT_BUDGET, require_finite_loss, se_loss, se_loss_worst
 from .metrics import THETA_OPEN_MIN, AngleSearchPolicy, worker_count
 from .sweep import (
     METRIC_NAMES,
@@ -173,6 +173,8 @@ def cmd_curve(args) -> int:
     require_ranges("stop", args.r_stop, cfg.aperture)
     # curve output needs no transition radii: evaluate the grid directly
     curve = metric_curve(cfg, args.metric, grid, budget, angle_policy)
+    if args.metric == "se":
+        require_finite_loss(cfg, budget, grid, curve.values)
     lines = curve_csv_lines([curve])
     if args.out == "-":
         write_lines(lines, sys.stdout)
@@ -188,6 +190,8 @@ def cmd_se(args) -> int:
     budget = dataclasses.replace(DEFAULT_BUDGET, **_section(args, file_cfg, "budget"))
     require_ranges("range_m", args.range_m, cfg.aperture)
     if args.theta_deg is not None:
+        if not math.isfinite(args.theta_deg):
+            raise ValueError(f"theta_deg must be finite, got {args.theta_deg}")
         pos = PolarPosition(theta=math.radians(args.theta_deg), range_m=args.range_m)
         report = se_loss(cfg, pos, budget)
         theta = pos.theta

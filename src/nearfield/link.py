@@ -14,7 +14,6 @@ from .metrics import (
     array_gain_efficiency,
     eta_and_inv2_sum,
     geometry,
-    worst_over_angle,
     worst_over_angle_batch,
 )
 
@@ -95,23 +94,39 @@ def snr_mismatched(gain: float, eta: float, budget: LinkBudget) -> float:
     return float(_snr_mismatched(gain, eta, budget))
 
 
+def require_finite_loss(cfg: ArrayConfig, budget: LinkBudget, ranges, losses) -> None:
+    """Refuse the first SE loss that is NaN or infinite with ValueError,
+    naming the inputs behind it."""
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        pilot_energy = budget.pilot_len * budget.pilot_snr
+        raise ValueError(f"carrier_freq {cfg.carrier_freq} Hz, range_m {ranges[bad[0]]}, pilot "
+                         f"energy {pilot_energy} and data_snr {budget.data_snr} give SE loss "
+                         f"{losses[bad[0]]}, which must be finite")
+
+
 def se_loss(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> SEReport:
     """SE penalty of planar-subspace estimation and combining at one position.
 
     A position whose gain G, or whose NMSE noise term 1/(pilot energy * G),
-    is not finite and positive in floats is refused with ValueError.
+    is not finite and positive in floats is refused with ValueError, and so
+    is one whose SE loss is not finite.
     """
-    gain = channel_gain(cfg, pos)
-    pilot_energy = budget.pilot_len * budget.pilot_snr
-    noise = 1.0 / (pilot_energy * gain) if pilot_energy * gain > 0.0 else math.inf
-    if not (0.0 < gain < math.inf and 0.0 < noise < math.inf):
-        raise ValueError(f"carrier_freq {cfg.carrier_freq} Hz, range_m {pos.range_m} and pilot "
-                         f"energy {pilot_energy} give gain {gain} and NMSE noise term {noise}; "
-                         "both must be finite and positive")
-    eta = array_gain_efficiency(cfg, pos)
-    se_opt = se_optimal(gain, budget)
-    se_mis = math.log1p(snr_mismatched(gain, eta, budget)) / _LN2
-    return SEReport(se_opt=se_opt, se_mis=se_mis, delta_se=se_opt - se_mis, eta=eta, gain=gain,
+    # products past the float range; what they leave non-finite is refused below
+    with np.errstate(all="ignore"):
+        gain = channel_gain(cfg, pos)
+        pilot_energy = budget.pilot_len * budget.pilot_snr
+        noise = 1.0 / (pilot_energy * gain) if pilot_energy * gain > 0.0 else math.inf
+        if not (0.0 < gain < math.inf and 0.0 < noise < math.inf):
+            raise ValueError(f"carrier_freq {cfg.carrier_freq} Hz, range_m {pos.range_m} and "
+                             f"pilot energy {pilot_energy} give gain {gain} and NMSE noise term "
+                             f"{noise}; both must be finite and positive")
+        eta = array_gain_efficiency(cfg, pos)
+        se_opt = se_optimal(gain, budget)
+        se_mis = math.log1p(snr_mismatched(gain, eta, budget)) / _LN2
+    delta_se = se_opt - se_mis
+    require_finite_loss(cfg, budget, [pos.range_m], [delta_se])
+    return SEReport(se_opt=se_opt, se_mis=se_mis, delta_se=delta_se, eta=eta, gain=gain,
                     nmse_floor=(1.0 - eta) + noise)
 
 
@@ -138,7 +153,8 @@ def se_loss_worst(
     policy: AngleSearchPolicy | None = None,
 ) -> MetricSample:
     """Worst-case SE loss over the look angle at range r, in bits/s/Hz."""
-    return worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _se_loss_grid(budget))
+    values, thetas = se_loss_worst_batch(cfg, np.array([r], dtype=float), budget, policy)
+    return MetricSample(range_m=r, value=float(values[0]), theta_star=float(thetas[0]))
 
 
 def se_loss_worst_batch(
@@ -147,10 +163,18 @@ def se_loss_worst_batch(
     budget: LinkBudget,
     policy: AngleSearchPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of se_loss_worst: (values, theta_stars) for an array of ranges."""
-    return worst_over_angle_batch(
-        cfg, r_values, policy or AngleSearchPolicy(), _se_loss_grid(budget)
-    )
+    """Vector form of se_loss_worst: (values, theta_stars) for an array of ranges.
+
+    A gain near the float limits overflows the SE products without a
+    warning.  Where the loss keeps a finite limit (_snr_mismatched's minimum
+    takes it) that limit is the value; otherwise the value is NaN or
+    infinite, for require_finite_loss to refuse.
+    """
+    # one error state for the whole search: parallel_map carries it to the pool
+    with np.errstate(all="ignore"):
+        return worst_over_angle_batch(
+            cfg, r_values, policy or AngleSearchPolicy(), _se_loss_grid(budget)
+        )
 
 
 def nmse_lower_bound(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> float:

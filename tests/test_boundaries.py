@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,7 @@ from nearfield import (
     sspf_distance,
 )
 from nearfield import boundaries
+from nearfield.arrays import MAX_RANGE_M
 from nearfield.boundaries import _SCAN_CHUNK, MAX_SCAN_FACTOR, _last_crossing, _log_grid
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
 from nearfield.metrics import block_rows, e_l2_worst_batch, e_linf_worst_batch
@@ -399,6 +401,20 @@ def test_optimal_radius_horizon_exceeded():
     with pytest.raises(HorizonExceededError):
         # heuristic scan: trailing decade never settles under the margin
         optimal_radius(lambda r: 1.0, 0.5, policy, r_min=0.1, heuristic_horizon=1.0)
+
+
+def test_a_scan_that_would_start_beyond_the_largest_range_is_refused():
+    # l2_mismatch_bound reaches 2.8e162 m at delta_2 = 1e-160; a scan from
+    # there evaluated ranges beyond MAX_RANGE_M and was refused as `ranges`
+    policy = EnvelopeSearchPolicy(points_per_decade=10)
+    solve = partial(optimal_radius, lambda r: 1.0 / r, 0.5, policy, r_min=1.0,
+                    heuristic_horizon=MAX_RANGE_M)
+    for bound in (1e160, MAX_RANGE_M / 2.0):  # the window of the second reaches past
+        message = f"proven bound {bound} m puts the scan's first window beyond the largest range"
+        with pytest.raises(HorizonExceededError, match=f"^{re.escape(message)}"):
+            solve(proven_bound=bound)
+    # a grid that only ends beyond it scans as before
+    assert solve(proven_bound=10.0).radius == pytest.approx(2.0, rel=1e-7)
 
 
 def test_optimal_radius_monotone_in_tolerance(cfg10_5):

@@ -800,3 +800,67 @@ def test_arrays_whose_phase_overflows_exit_2(capsys, argv):
     assert err == ("error: carrier_freq 1e+169 Hz and spacing 1e+150 m "
                    "(aperture 2.9999999999999998e+150 m) overflow the phase 2*k*D\n")
 
+
+@pytest.mark.filterwarnings("error")
+def test_se_curve_at_tiny_ranges_warns_nothing(capsys):
+    # G**2 overflows in the mismatched SNR, whose minimum then takes its limit
+    code, out, err = run_cli(capsys, "curve", "--metric", "se", "--freq-ghz", "28", "--elements",
+                             "4", "--r-start", "1e-100", "--r-stop", "1e-99", "--r-points", "2")
+    assert code == 0 and err == ""
+    values = [line.split(",")[5] for line in out.splitlines()[1:]]
+    assert values == ["1.9999999999999234", "2.0000000000000053"]
+
+
+# argv of SE queries whose loss is NaN in floats -> the inputs the refusal names
+NAN_LOSSES = {
+    # a 3000 dB data SNR overflows both SEs
+    "curve": ("curve --metric se --freq-ghz 1e-9 --elements 3 --r-start 0.5 --r-stop 1 "
+              "--r-points 2 --data-snr-db 3000", "1.0", "0.5", "1e+300"),
+    "se_worst_case": ("se --freq-ghz 1e-9 --elements 3 --range-m 0.5 --data-snr-db 3000",
+                      "1.0", "0.5", "1e+300"),
+    "se_fixed_angle": ("se --freq-ghz 1e-9 --elements 3 --range-m 0.5 --data-snr-db 3000 "
+                       "--theta-deg 30", "1.0", "0.5", "1e+300"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, freq_hz, range_m, data_snr", NAN_LOSSES.values(),
+                         ids=NAN_LOSSES.keys())
+def test_an_se_loss_that_is_not_finite_exits_2(capsys, argv, freq_hz, range_m, data_snr):
+    # these warned, and curve and se wrote nan with exit 0
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and not out
+    assert err == (f"error: carrier_freq {freq_hz} Hz, range_m {range_m}, pilot energy "
+                   f"640000.0 and data_snr {data_snr} give SE loss nan, which must be finite\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_se_refuses_an_overflowing_gain_without_a_warning(capsys):
+    # the gain (lambda/4pi)^2 / R^2 overflows: the worst-case search warned
+    # three times ahead of this refusal
+    code, out, err = run_cli(capsys, "se", "--freq-ghz", "1e-154", "--elements", "2",
+                             "--range-m", "1e-3")
+    assert code == 2 and not out
+    assert err == ("error: carrier_freq 1e-145 Hz, range_m 0.001 and pilot energy 640000.0 "
+                   "give gain inf and NMSE noise term 0.0; both must be finite and positive\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_l2_bound_beyond_the_largest_range_exits_3(capsys):
+    # the scan started at l2_mismatch_bound, 2.8e162 m, and exited 2 naming `ranges`
+    argv = ["boundaries", "--freq-ghz", "1", "--elements", "16", "--spacing-m", "0.5"]
+    code, out, err = run_cli(capsys, *argv, "--delta-2", "1e-160")
+    assert code == 3 and not out
+    assert err == ("solver error: proven bound 2.807768094316623e+162 m puts the scan's first "
+                   f"window beyond the largest range {MAX_RANGE_M!r} m\n")
+    # at the default spacing the certification search refuses first, also with exit 3
+    code, _, err = run_cli(capsys, *argv[:-2], "--delta-2", "1e-160")
+    assert code == 3 and err == "solver error: delta_2 1e-160 needs ranges whose square overflows\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_se_names_theta_deg_when_it_is_not_finite(capsys, value):
+    code, out, err = run_cli(capsys, "se", "--freq-ghz", "28", "--elements", "4",
+                             "--range-m", "1", "--theta-deg", value)
+    assert code == 2 and not out
+    assert err == f"error: theta_deg must be finite, got {float(value)}\n"
