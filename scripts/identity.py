@@ -21,8 +21,10 @@ The fixed set:
   epf_distance values;
 - `reproduce fig3-se`, and `fig2-linf` and `fig2-l2` at
   `--points-per-decade 150 --coarse-angles 181 --curve-points 50`;
-- `curve` CSVs for linf, l2 and se at 28 GHz, N = 4, 16 and 64;
-- `se --json` at a fixed angle and at the worst-case angle;
+- `curve` CSVs for linf, l2 and se at 28 GHz, N = 4, 16 and 64, and at
+  N = 128 with 24 points, whose kernel rows are split over angle tiles;
+- `se --json` at a fixed angle and at the worst-case angle, and at the
+  worst-case angle at N = 128;
 - `boundaries --json` at 300 GHz / 64 elements;
 - settings from a `--config` file written into the run directory first:
   `boundaries --json` with every key set away from its default, the same
@@ -36,7 +38,8 @@ The fixed set:
 - inputs at the edges of the float range: SE arithmetic that over- or
   underflows (`curve` at 1e-100 m and at a 3000 dB data SNR, `se` at a
   1e-154 GHz carrier), an l2 bound beyond the largest range, at two
-  spacings, and an infinite or NaN `--theta-deg`.
+  spacings, a `--delta-2` below the l2 kernel's rounding floor, and an
+  infinite or NaN `--theta-deg`.
 
 Each CLI call prints every warning it raises, once per source line, so a
 warning lands in the stderr entry of each call that raises it.
@@ -123,6 +126,13 @@ def _cli_calls(quick: bool):
          None)
         for metric in ("linf", "l2", "se") for n in (4, 16, 64)
     ]
+    calls += [
+        (f"curve-{metric}-28GHz-N128",
+         ["curve", "--metric", metric, "--freq-ghz", "28", "--elements", "128",
+          "--r-start", "0.05", "--r-stop", "500", "--r-points", "24", "--out", "curve.csv"],
+         None)
+        for metric in ("linf", "l2", "se")
+    ]
     huge = ["--freq-ghz", "1e160", "--elements", "4", "--spacing-m", "1e150"]
     curve_file = ["curve", "--metric", "se", "--freq-ghz", "28", "--elements", "4", "--r-start",
                   "0.05", "--r-stop", "50", "--r-points", "20", "--out", "curve.csv"]
@@ -131,6 +141,8 @@ def _cli_calls(quick: bool):
                                 "0.5", "--theta-deg", "30", "--json"], None),
         ("se-28GHz-N16-worst", ["se", "--freq-ghz", "28", "--elements", "16", "--range-m",
                                 "0.5", "--json"], None),
+        ("se-28GHz-N128-worst", ["se", "--freq-ghz", "28", "--elements", "128", "--range-m",
+                                 "0.5", "--json"], None),
         ("boundaries-300GHz-N64", ["boundaries", "--freq-ghz", "300", "--elements", "64",
                                    "--json"], None),
         ("curve-kD-overflow", ["curve", "--metric", "linf", *huge, "--r-start", "1",
@@ -184,6 +196,8 @@ def _edge_calls():
                                  "--range-m", "1e-3"], None),
         ("boundaries-l2-bound-beyond-largest-range", [*l2_tiny, "--spacing-m", "0.5"], None),
         ("boundaries-l2-square-overflows", l2_tiny, None),
+        ("boundaries-l2-below-rounding-floor", [*l2_tiny[:-1], "6e-152", "--spacing-m", "0.5"],
+         None),
         ("se-theta-inf", [*se_28, "--theta-deg", "inf"], None),
         ("se-theta-nan", [*se_28, "--theta-deg", "nan"], None),
     ]
