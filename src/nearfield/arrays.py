@@ -133,16 +133,18 @@ class PolarPosition:
         require_ranges("range_m", self.range_m)
 
 
-def distances(r, nd, cos_t):
-    """Source-to-element distances R_n, broadcast over r, nd and cos_t.
+def distances(r, nd, cos_t, out=None):
+    """Source-to-element distances R_n, broadcast over r, nd and cos_t, into
+    `out` when given.
 
     Assembled as (r - nd)^2 + 2*r*nd*(1 - cos) rather than the direct law of
     cosines r^2 + nd^2 - 2*r*nd*cos, which cancels catastrophically near the
     axis; both terms are nonnegative, so the square never dips below zero.
     """
     gap = r - nd
-    dist = np.sqrt(gap * gap + (2.0 * r * nd) * (1.0 - cos_t))
-    if np.any(dist == 0.0):
+    dist = np.multiply(2.0 * r * nd, 1.0 - cos_t, out=out)
+    dist = np.sqrt(np.add(gap * gap, dist, out=dist), out=dist)
+    if not dist.all():  # NaN counts as nonzero
         n_bad = int(np.argwhere(dist == 0.0)[0][-1])
         raise DegenerateGeometryError(
             f"the source coincides with array element {n_bad} (R_n = 0)"

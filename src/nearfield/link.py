@@ -132,11 +132,8 @@ def se_loss(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> SERepor
 
 def _se_loss_grid(budget: LinkBudget):
     def grid_fn(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-        # the (B, T, N) arrays stay referenced until the (B, T) arithmetic below
-        # is done: released earlier, glibc tends to trim the heap and re-fault
-        # their pages on the next block (+25% time on a 10 GHz / N=5 scan)
         dist, _, dphi = geometry(cfg, r, cos_t)
-        inv = 1.0 / dist
+        inv = np.divide(1.0, dist, out=dist)
         eta, inv2_sum = eta_and_inv2_sum(cfg.n_elements, inv, dphi)
         amp = cfg.wavelength / (4.0 * math.pi)
         gain = (amp * amp) * inv2_sum

@@ -47,16 +47,44 @@ and the cell budget of one kernel block, which holds at least one row."""
 MAX_ANGLE_POINTS = 1_000_000
 """Largest coarse angle grid (AngleSearchPolicy.coarse_grid_points)."""
 
-# cap per-slab tensor size of the coarse pass inside a block (elements), so a
-# grid_fn call's (rows, angles, elements) temporaries stay near cache size
-_SLAB_BUDGET = 65_536
+# most cells (rows x angles x elements) of one kernel call in the coarse pass
+# and the golden refinement, so its workspace stays near cache size
+_TILE_CELLS = 65_536
 
-# but a slab holds at least this many rows.  glibc trims the heap once more
-# than twice its largest freed mmap chunk is free; slab temporaries three
-# times a row's keep that threshold above the five one-row temporaries of a
-# one-range query, whose pages are otherwise returned and re-faulted on every
-# call (about 420 per query at N = 64 with one-row slabs)
-_SLAB_MIN_ROWS = 3
+
+class _Workspace(threading.local):
+    """One computing thread's kernel scratch: five float buffers of equal
+    length, and the (B, T, N) views of them made so far, by shape."""
+
+    def __init__(self) -> None:
+        self.buffers: tuple[np.ndarray, ...] = ()
+        self.views: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
+
+
+_workspace = _Workspace()
+
+
+def _scratch(shape: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Five (B, T, N) arrays over this thread's workspace, valid until the
+    thread's next kernel call.  `geometry` fills the first three;
+    `_element_mismatch_sq` and `eta_and_inv2_sum` work in the last two.
+
+    The buffers grow to the largest call seen and are kept for the thread's
+    life, so a warm kernel call allocates no (B, T, N) array and faults no
+    page in.
+    """
+    ws = _workspace
+    views = ws.views.get(shape)
+    if views is None:
+        cells = math.prod(shape)
+        if not ws.buffers or len(ws.buffers[0]) < cells:
+            ws.buffers = tuple(np.empty(cells) for _ in range(5))
+            ws.views = {}
+        elif len(ws.views) >= 256:  # shapes seen across many configs
+            ws.views = {}
+        views = tuple(buf[:cells].reshape(shape) for buf in ws.buffers)
+        ws.views[shape] = views
+    return views
 
 
 def _usable_cores() -> int:
@@ -144,14 +172,20 @@ def geometry(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray):
     (B, T, N) arrays: R, R - r, and dphi = k*((R - r) + n*d*cos), the phase by
     which the spherical model leads the planar one at each element.  R comes
     from `arrays.distances`; R - r is assembled as (R^2 - r^2)/(R + r), which
-    does not cancel when R is close to r.
+    does not cancel when R is close to r.  The arrays are views of this
+    thread's kernel workspace: the thread's next call overwrites them.
     """
     nd = cfg.element_offsets()
     r3 = r[:, None, None]
     cos3 = cos_t[:, :, None]
-    dist = distances(r3, nd, cos3)
-    rmr = nd * (nd - (2.0 * r3) * cos3) / (dist + r3)
-    dphi = cfg.wavenumber * (rmr + nd * cos3)
+    dist, rmr, dphi = _scratch((len(r), cos_t.shape[1], len(nd)))[:3]
+    distances(r3, nd, cos3, out=dist)
+    # rmr = nd * (nd - (2*r)*cos) / (R + r), dphi = k * (rmr + nd*cos)
+    np.subtract(nd, (2.0 * r3) * cos3, out=rmr)
+    np.multiply(nd, rmr, out=rmr)
+    np.divide(rmr, np.add(dist, r3, out=dphi), out=rmr)
+    np.add(rmr, np.multiply(nd, cos3, out=dphi), out=dphi)
+    np.multiply(cfg.wavenumber, dphi, out=dphi)
     return dist, rmr, dphi
 
 
@@ -160,14 +194,15 @@ def _element_mismatch_sq(r3: np.ndarray, dist: np.ndarray, rmr: np.ndarray, dphi
 
     Split into an amplitude gap and a phase gap, both nonnegative, instead of
     the direct cosine form whose terms cancel to roundoff.  Consumes rmr and
-    dphi: the result lands in rmr's buffer, so a kernel block holds at most
-    five (B, T, N) arrays at once.
+    dphi, and the workspace's last two arrays: the result lands in rmr's
+    buffer.
     """
-    dist_r = dist * r3
+    dist_r, phase = _scratch(dist.shape)[3:]
+    np.multiply(dist, r3, out=dist_r)
     amp = np.divide(rmr, dist_r, out=rmr)
     amp *= amp
     half = np.sin(np.multiply(0.5, dphi, out=dphi), out=dphi)
-    phase = 4.0 * half
+    np.multiply(4.0, half, out=phase)
     phase *= half
     phase /= dist_r
     amp += phase
@@ -182,16 +217,19 @@ def _linf_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray
 def _l2_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
     dist, rmr, dphi = geometry(cfg, r, cos_t)
     num = _element_mismatch_sq(r[:, None, None], dist, rmr, dphi).sum(axis=2)
-    den = (1.0 / (dist * dist)).sum(axis=2)
+    inv2 = np.multiply(dist, dist, out=dphi)
+    den = np.divide(1.0, inv2, out=inv2).sum(axis=2)
     return np.sqrt(num / den)
 
 
 def eta_and_inv2_sum(n_elements: int, inv: np.ndarray, dphi: np.ndarray):
     """Array-gain efficiency eta and sum_n 1/R_n^2 from the inverse distances
-    1/R and phase gaps dphi that `geometry` yields (elements on the last axis)."""
-    inv2_sum = (inv * inv).sum(axis=2)
-    csum = (np.cos(dphi) * inv).sum(axis=2)
-    ssum = (np.sin(dphi) * inv).sum(axis=2)
+    1/R and phase gaps dphi that `geometry` yields (elements on the last axis).
+    Its (B, T, N) products go to the workspace's last array."""
+    tmp = _scratch(dphi.shape)[4]
+    inv2_sum = np.multiply(inv, inv, out=tmp).sum(axis=2)
+    csum = np.multiply(np.cos(dphi, out=tmp), inv, out=tmp).sum(axis=2)
+    ssum = np.multiply(np.sin(dphi, out=tmp), inv, out=tmp).sum(axis=2)
     eta = (csum * csum + ssum * ssum) / (n_elements * inv2_sum)
     # Cauchy-Schwarz holds exactly; trim the few-ulp overshoot
     return np.minimum(eta, 1.0), inv2_sum
@@ -199,7 +237,7 @@ def eta_and_inv2_sum(n_elements: int, inv: np.ndarray, dphi: np.ndarray):
 
 def _eta_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
     dist, _, dphi = geometry(cfg, r, cos_t)
-    return eta_and_inv2_sum(cfg.n_elements, 1.0 / dist, dphi)[0]
+    return eta_and_inv2_sum(cfg.n_elements, np.divide(1.0, dist, out=dist), dphi)[0]
 
 
 def _at_value(cfg: ArrayConfig, pos: PolarPosition, grid_fn) -> float:
@@ -282,6 +320,27 @@ def _clamped_cos(theta: np.ndarray) -> np.ndarray:
     return np.minimum(np.cos(theta), _COS_OPEN_MAX)
 
 
+def _tiled(grid_fn, cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
+    """grid_fn(cfg, r, cos_t), computed one tile of at most
+    max(_TILE_CELLS, N) cells per call: whole rows when a row fits, else one
+    row split over angle tiles.  Every value depends on its own row and angle
+    only, so the tiles keep its bits."""
+    n = cfg.n_elements
+    n_t = cos_t.shape[1]
+    angles = min(n_t, max(1, _TILE_CELLS // n))
+    rows = max(1, _TILE_CELLS // (angles * n))
+    if rows >= len(r) and angles == n_t:
+        return grid_fn(cfg, r, cos_t)
+    out = np.empty((len(r), n_t))
+    for s in range(0, len(r), rows):
+        cos_rows = cos_t if len(cos_t) == 1 else cos_t[s : s + rows]
+        for t in range(0, n_t, angles):
+            out[s : s + rows, t : t + angles] = grid_fn(
+                cfg, r[s : s + rows], cos_rows[:, t : t + angles]
+            )
+    return out
+
+
 def worst_over_angle_batch(
     cfg: ArrayConfig,
     r_values: np.ndarray,
@@ -299,16 +358,12 @@ def worst_over_angle_batch(
     cos_row = _clamped_cos(thetas)[None, :]
     n_t = len(thetas)
     block = block_rows(cfg, policy)
-    slab = max(_SLAB_MIN_ROWS, _SLAB_BUDGET // (n_t * cfg.n_elements))
     values = np.empty_like(r_values)
     theta_stars = np.empty_like(r_values)
 
     def run_block(start: int) -> None:
         rb = r_values[start : start + block]
-        # coarse values are per row, so filling the rows slab by slab keeps their bits
-        coarse = np.concatenate(
-            [grid_fn(cfg, rb[s : s + slab], cos_row) for s in range(0, len(rb), slab)]
-        )
+        coarse = _tiled(grid_fn, cfg, rb, cos_row)
         idx = coarse.argmax(axis=1)  # first max wins: smallest angle on ties
         rows = np.arange(len(rb))
         best_v = coarse[rows, idx]
@@ -317,7 +372,7 @@ def worst_over_angle_batch(
         hi = thetas[np.minimum(idx + 1, n_t - 1)]
 
         def f(th: np.ndarray) -> np.ndarray:
-            return grid_fn(cfg, rb, _clamped_cos(th)[:, None])[:, 0]
+            return _tiled(grid_fn, cfg, rb, _clamped_cos(th)[:, None])[:, 0]
 
         ref_t, ref_v = _golden_max_batch(
             f, lo, hi, policy.refine_tolerance, policy.refine_max_iter

@@ -274,16 +274,19 @@ BATCHES = {
 
 @pytest.mark.parametrize(
     "cfg",
-    [ArrayConfig(1e9, 2), ArrayConfig(10e9, 5), ArrayConfig(300e9, 10), ArrayConfig(300e9, 64)],
+    [ArrayConfig(1e9, 2), ArrayConfig(10e9, 5), ArrayConfig(300e9, 10), ArrayConfig(300e9, 64),
+     ArrayConfig(28e9, 128)],
     ids=lambda cfg: f"{cfg.carrier_freq / 1e9:g}GHz-N{cfg.n_elements}",
 )
 def test_batch_values_do_not_depend_on_thread_count(cfg, monkeypatch):
-    # 150 ranges are three blocks at N <= 10 and four at N = 64; on this span
+    # 150 ranges are three blocks at N <= 10, four at N = 64 and eight at
+    # N = 128, whose rows the default tile splits over angles; on this span
     # a few SE rows change bits when the rows sharing a block change
     r_min = resolve_r_min(cfg, EnvelopeSearchPolicy())
     rs = np.geomspace(r_min, 2.0 * spf_distance(cfg, Tolerances().delta_inf), 150)
 
-    def run(threads: int) -> dict:
+    def run(threads: int, tile: int = metrics._TILE_CELLS) -> dict:
+        monkeypatch.setattr(metrics, "_TILE_CELLS", tile)
         monkeypatch.setenv("NEARFIELD_THREADS", str(threads))
         return {name: tuple(a.tobytes() for a in batch(cfg, rs)) for name, batch in BATCHES.items()}
 
@@ -291,14 +294,87 @@ def test_batch_values_do_not_depend_on_thread_count(cfg, monkeypatch):
     sys.setswitchinterval(1e-5)  # let the block workers interleave often
     try:
         runs = {threads: run(threads) for threads in (1, 2, 3)}
-        # the serial whole-block coarse pass is the reference for the slabs
-        monkeypatch.setattr(metrics, "_SLAB_BUDGET", 1 << 40)
-        whole_blocks = run(1)
+        # one row per coarse tile and 37 rows per golden one: both tails ragged
+        ragged = {threads: run(threads, 37 * cfg.n_elements + 3) for threads in (1, 2, 3)}
+        # the serial untiled coarse pass is the reference; its block-sized
+        # workspace goes with this test
+        monkeypatch.setattr(metrics, "_workspace", metrics._Workspace())
+        untiled = run(1, 1 << 40)
     finally:
         sys.setswitchinterval(interval)
-    assert runs[1] == whole_blocks
-    assert runs[2] == whole_blocks
-    assert runs[3] == whole_blocks
+    for threads in (1, 2, 3):
+        assert runs[threads] == untiled
+        assert ragged[threads] == untiled
+
+
+def _workspace_batches(cfg: ArrayConfig) -> dict:
+    rs = np.geomspace(0.05, 30.0, 43)
+    return {name: tuple(a.tobytes() for a in batch(cfg, rs)) for name, batch in BATCHES.items()}
+
+
+def test_threads_sharing_the_process_keep_their_own_workspace(monkeypatch):
+    monkeypatch.setenv("NEARFIELD_THREADS", "1")
+    cfgs = [ArrayConfig(10e9, 5), ArrayConfig(300e9, 64)]
+    serial = [_workspace_batches(cfg) for cfg in cfgs]
+    results: dict[int, list] = {}
+
+    def work(i: int) -> None:
+        results[i] = [_workspace_batches(cfg) for cfg in (cfgs[i], cfgs[1 - i], cfgs[i])]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the kernels
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == [serial[0], serial[1], serial[0]]
+    assert results[1] == [serial[1], serial[0], serial[1]]
+
+
+def test_a_threads_workspace_stays_within_five_tiles():
+    calls = [  # (config, angle policy, ranges)
+        (ArrayConfig(300e9, 64), AngleSearchPolicy(), 43),
+        (ArrayConfig(300e9, 1024), AngleSearchPolicy(), 3),
+        # one block of 64 rows, whose golden refinement spans 64 x 2000 cells
+        (ArrayConfig(300e9, 2000), AngleSearchPolicy(coarse_grid_points=3), 64),
+    ]
+    held = {}
+
+    def work() -> None:
+        for cfg, policy, count in calls:
+            rs = np.geomspace(2.0 * cfg.aperture, 100.0 * cfg.aperture, count)
+            e_linf_worst_batch(cfg, rs, policy)
+            e_l2_worst_batch(cfg, rs, policy)
+            se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET, policy)
+            e_l2_at(cfg, PolarPosition(theta=0.5, range_m=1.0))
+            held[cfg.n_elements] = sum(buf.size for buf in metrics._workspace.buffers)
+
+    thread = threading.Thread(target=work)  # a fresh thread, with no workspace yet
+    thread.start()
+    thread.join()
+    assert held[64] > 0
+    for n, floats in held.items():
+        assert floats <= 5 * max(metrics._TILE_CELLS, n), (n, floats)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read on Linux")
+def test_a_warm_kernel_block_faults_in_no_pages(cfg300, monkeypatch):
+    import resource
+
+    monkeypatch.setenv("NEARFIELD_THREADS", "1")
+    rs = np.geomspace(0.05, 30.0, 43)  # one kernel block at N = 64
+    assert block_rows(cfg300, AngleSearchPolicy()) == 43
+    e_linf_worst_batch(cfg300, rs)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        e_linf_worst_batch(cfg300, rs)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+    # fresh (B, T, N) temporaries per tile faulted about 15,000 pages a call
+    assert faults < 1000
 
 
 def test_too_small_range_in_a_later_block_raises_the_same_error(cfg10_5, monkeypatch):
