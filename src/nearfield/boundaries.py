@@ -280,6 +280,26 @@ def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
     return d_ap + (a + math.sqrt(a * a + 8.0 * a * d_ap * delta_2)) / (2.0 * delta_2)
 
 
+def _require_above_l2_floor(cfg: ArrayConfig, delta_2: float) -> None:
+    """Refuse a delta_2 at or below k*D*2^-52, the l2 kernel's rounding floor.
+
+    Far beyond the 1/r law, each phase gap dphi_n = k*((R_n - r) + x_n*cos)
+    is a sum of two terms of size up to x_n that cancel to about
+    k*x_n^2/(2*r).  Each term carries a rounding error of a few units of
+    x_n*2^-53 whatever r is, so dphi_n keeps an error of order
+    k*x_n*2^-53, and e_l2, the rms over n of |dphi_n| there, levels off at
+    a constant times k*D*2^-52 instead of falling as 1/r.  Measured at
+    1e18-1e147 m (1 GHz / N = 16 / 0.5 m, 300 GHz / N = 64, 28 GHz /
+    N = 256, 300 GHz / N = 2048) that constant is 0.25-0.43.  The factor
+    c = 1 keeps every delta_2 that passes more than twice that floor, so
+    rounding alone cannot reach it and no scan meets a crossing it made.
+    """
+    floor = cfg.wavenumber * cfg.aperture * 2.0**-52
+    if delta_2 <= floor:
+        raise ValueError(f"delta_2 {delta_2} is at or below the l2 kernel's rounding floor "
+                         f"k*D*2^-52 = {floor!r}")
+
+
 def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> float:
     """Radius r_G = D + sqrt(rho_d * N * (lambda/(4*pi))^2 / (2^delta_se - 1))
     beyond which the SE loss stays below delta_se at every look angle.
@@ -470,7 +490,8 @@ def boundary_set(
     window and per kernel call.  The grids still end at twice spf and twice
     l2_certification_bound (at the heuristic horizon for SE), or at the
     proven bound where that lies beyond; that end only fixes where the grid
-    points sit.
+    points sit.  A delta_2 at or below the l2 kernel's rounding floor
+    k*D*2^-52 is refused with ValueError before any scan.
     """
     tol = tolerances or Tolerances()
     budget = budget or DEFAULT_BUDGET
@@ -495,13 +516,16 @@ def boundary_set(
         opt_linf = opt_l2 = OptimalRadius(radius=r_min, certified=True)
     else:
         spf = spf_distance(cfg, tol.delta_inf)
+        l2_bounds = {"analytic_bound": l2_certification_bound(cfg, tol.delta_2),
+                     "proven_bound": l2_mismatch_bound(cfg, tol.delta_2)}
+        # a proven bound past the largest range is refused by its scan instead
+        if l2_bounds["proven_bound"] <= MAX_RANGE_M:
+            _require_above_l2_floor(cfg, tol.delta_2)
         epf = epf_distance(cfg, tol.delta_inf, envelope_policy)
         opt_linf = solve(e_linf_worst, e_linf_worst_batch, (angle_policy,), tol.delta_inf,
                          analytic_bound=spf,
                          proven_bound=linf_mismatch_bound(cfg, tol.delta_inf))
-        opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2,
-                       analytic_bound=l2_certification_bound(cfg, tol.delta_2),
-                       proven_bound=l2_mismatch_bound(cfg, tol.delta_2))
+        opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2, **l2_bounds)
     opt_se = solve(se_loss_worst, se_loss_worst_batch, (budget, angle_policy), tol.delta_se,
                    heuristic_horizon=max(rayleigh, sspf, r_min),
                    proven_bound=se_gain_bound(cfg, tol.delta_se, budget))

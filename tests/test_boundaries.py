@@ -33,7 +33,7 @@ from nearfield import boundaries
 from nearfield.arrays import MAX_RANGE_M
 from nearfield.boundaries import _SCAN_CHUNK, MAX_SCAN_FACTOR, _last_crossing, _log_grid
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
-from nearfield.metrics import block_rows, e_l2_worst_batch, e_linf_worst_batch
+from nearfield.metrics import block_rows, e_l2_worst, e_l2_worst_batch, e_linf_worst_batch
 
 FAST_ANGLES = AngleSearchPolicy(coarse_grid_points=241)
 FAST_ENVELOPE = EnvelopeSearchPolicy(points_per_decade=300)
@@ -195,6 +195,28 @@ def test_l2_certification_bound_refuses_an_overflowing_search(cfg300):
     # the search far below the true bound (l2_mismatch_bound gives 1.43e200 m)
     with pytest.raises(HorizonExceededError, match="delta_2"):
         l2_certification_bound(cfg300, 1e-200)
+
+
+@pytest.mark.parametrize(
+    "freq_ghz, n_elements, spacing",
+    [(1, 16, 0.5), (300, 64, None), (28, 256, None), (300, 2048, None)],
+)
+def test_l2_rounding_floor_lies_below_the_refused_delta_2(freq_ghz, n_elements, spacing,
+                                                          monkeypatch):
+    # far past the 1/r law the l2 kernel reads its rounding floor, 0.30-0.43 of
+    # k*D*2^-52 here; boundary_set refuses any delta_2 at or below that product
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements, spacing=spacing)
+    floor = cfg.wavenumber * cfg.aperture * 2.0**-52
+    assert 0.0 < e_l2_worst(cfg, 1e20).value < floor
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    for name in ("e_linf_worst_batch", "e_l2_worst_batch", "se_loss_worst_batch", "epf_distance"):
+        monkeypatch.setattr(boundaries, name, no_scan)
+    with pytest.raises(ValueError, match=r"^delta_2 .* is at or below the l2 kernel's rounding "
+                                         r"floor k\*D\*2\^-52 = "):
+        boundary_set(cfg, Tolerances(delta_2=floor))
 
 
 @settings(max_examples=40, deadline=None)

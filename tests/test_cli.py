@@ -858,6 +858,22 @@ def test_an_l2_bound_beyond_the_largest_range_exits_3(capsys):
     assert code == 3 and err == "solver error: delta_2 1e-160 needs ranges whose square overflows\n"
 
 
+def test_a_delta_2_below_the_l2_rounding_floor_exits_2(capsys):
+    # past the 1/r law e_l2_worst levels off near 1.3e-14 here, and this
+    # delta_2 gave a certified opt_l2 of 2.3e148 m where the metric underflows
+    argv = ["boundaries", "--freq-ghz", "1", "--elements", "16", "--spacing-m", "0.5"]
+    code, out, err = run_cli(capsys, *argv, "--delta-2", "6e-152")
+    assert code == 2 and not out
+    assert err == ("error: delta_2 6e-152 is at or below the l2 kernel's rounding floor "
+                   "k*D*2^-52 = 3.487868498008632e-14\n")
+    # a delta_2 the kernel resolves keeps the 276/r law
+    code, out, _ = run_cli(capsys, *argv, "--delta-2", "1e-12", "--json")
+    assert code == 0
+    radii = json.loads(out)["boundaries"]
+    assert radii["opt_l2_m"] == pytest.approx(2.76e14, rel=0.01)
+    assert radii["opt_l2_certified"] is True
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_se_names_theta_deg_when_it_is_not_finite(capsys, value):
     code, out, err = run_cli(capsys, "se", "--freq-ghz", "28", "--elements", "4",
