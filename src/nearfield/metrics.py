@@ -66,8 +66,9 @@ _workspace = _Workspace()
 
 def _scratch(shape: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """Five (B, T, N) arrays over this thread's workspace, valid until the
-    thread's next kernel call.  `geometry` fills the first three;
-    `_element_mismatch_sq` and `eta_and_inv2_sum` work in the last two.
+    thread's next kernel call.  `geometry` fills the first three, passing
+    through the last; `_element_mismatch_sq` and `eta_and_inv2_sum` work in
+    the last two.
 
     The buffers grow to the largest call seen and are kept for the thread's
     life, so a warm kernel call allocates no (B, T, N) array and faults no
@@ -184,7 +185,9 @@ def geometry(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray):
     np.subtract(nd, (2.0 * r3) * cos3, out=rmr)
     np.multiply(nd, rmr, out=rmr)
     np.divide(rmr, np.add(dist, r3, out=dphi), out=rmr)
-    np.add(rmr, np.multiply(nd, cos3, out=dphi), out=dphi)
+    # nd*cos once per cosine row, in the last array: rows may share one
+    nd_cos = np.multiply(nd, cos3, out=_scratch((*cos_t.shape, len(nd)))[4])
+    np.add(rmr, nd_cos, out=dphi)
     np.multiply(cfg.wavenumber, dphi, out=dphi)
     return dist, rmr, dphi
 

@@ -318,21 +318,25 @@ def test_threads_sharing_the_process_keep_their_own_workspace(monkeypatch):
     serial = [_workspace_batches(cfg) for cfg in cfgs]
     results: dict[int, list] = {}
 
-    def work(i: int) -> None:
-        results[i] = [_workspace_batches(cfg) for cfg in (cfgs[i], cfgs[1 - i], cfgs[i])]
+    def work(i: int) -> None:  # three threads on two configs, each in its own order
+        order = [i % 2, 1 - i % 2, i % 2]
+        results[i] = [(k, _workspace_batches(cfgs[k])) for k in order]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads inside the kernels
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert results[0] == [serial[0], serial[1], serial[0]]
-    assert results[1] == [serial[1], serial[0], serial[1]]
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2]
+    for runs in results.values():
+        for k, batches in runs:
+            assert batches == serial[k]
 
 
 def test_a_threads_workspace_stays_within_five_tiles():
@@ -355,8 +359,9 @@ def test_a_threads_workspace_stays_within_five_tiles():
 
     thread = threading.Thread(target=work)  # a fresh thread, with no workspace yet
     thread.start()
-    thread.join()
-    assert held[64] > 0
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert sorted(held) == [64, 1024, 2000]
     for n, floats in held.items():
         assert floats <= 5 * max(metrics._TILE_CELLS, n), (n, floats)
 
