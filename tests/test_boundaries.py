@@ -203,7 +203,7 @@ def test_l2_certification_bound_refuses_an_overflowing_search(cfg300):
 )
 def test_l2_rounding_floor_lies_below_the_refused_delta_2(freq_ghz, n_elements, spacing,
                                                           monkeypatch):
-    # far past the 1/r law the l2 kernel reads its rounding floor, 0.30-0.43 of
+    # far past the 1/r law the l2 kernel reads its rounding floor, 0.30-0.40 of
     # k*D*2^-52 here; boundary_set refuses any delta_2 at or below that product
     cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements, spacing=spacing)
     floor = cfg.wavenumber * cfg.aperture * 2.0**-52
