@@ -39,7 +39,9 @@ The fixed set:
   underflows (`curve` at 1e-100 m and at a 3000 dB data SNR, `se` at a
   1e-154 GHz carrier), an l2 bound beyond the largest range, at two
   spacings, a `--delta-2` below the l2 kernel's rounding floor, and an
-  infinite or NaN `--theta-deg`.
+  infinite or NaN `--theta-deg`;
+- SE budgets: `boundaries --json` at 28 GHz, N = 4 and 64, at `--delta-se`
+  5 and 0.05, and the same at `--data-snr-db 0 --pilot-len 1`.
 
 Each CLI call prints every warning it raises, once per source line, so a
 warning lands in the stderr entry of each call that raises it.
@@ -167,6 +169,7 @@ def _cli_calls(quick: bool):
         ("refuse-malformed-json", BOUNDARIES_28, "{not json"),
         *_single_element_calls(),
         *_edge_calls(),
+        *_se_budget_calls(),
     ]
 
 
@@ -201,6 +204,16 @@ def _edge_calls():
         ("se-theta-inf", [*se_28, "--theta-deg", "inf"], None),
         ("se-theta-nan", [*se_28, "--theta-deg", "nan"], None),
     ]
+
+
+def _se_budget_calls():
+    """`boundaries --json` at 28 GHz, N = 4 and 64, at a loose and a tight
+    delta_se, each also at 0 dB data SNR with one pilot symbol."""
+    weak = ["--data-snr-db", "0", "--pilot-len", "1"]
+    return [(f"boundaries-28GHz-N{n}-se{delta}{'-weak' if budget else ''}",
+             ["boundaries", "--freq-ghz", "28", "--elements", str(n), "--delta-se", delta,
+              *budget, "--json"], None)
+            for budget in ([], weak) for n in (4, 64) for delta in ("5", "0.05")]
 
 
 def _sha256(data: bytes) -> str:
