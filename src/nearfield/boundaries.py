@@ -10,7 +10,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .arrays import MAX_RANGE_M, ArrayConfig, require_finite, require_whole
-from .link import DEFAULT_BUDGET, LinkBudget, se_loss_worst, se_loss_worst_batch
+from .link import DEFAULT_BUDGET, LinkBudget, se_loss_bound, se_loss_worst, se_loss_worst_batch
 from .metrics import (
     AngleSearchPolicy,
     block_rows,
@@ -242,8 +242,10 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
 
 
 def linf_mismatch_bound(cfg: ArrayConfig, delta_inf: float) -> float:
-    """Radius r_inf = D + sqrt((D + k*D^2/2) / delta_inf) beyond which the
-    per-element mismatch stays below delta_inf at every look angle.
+    """Radius beyond which the per-element mismatch stays below delta_inf at
+    every look angle: the smaller of r_inf = D + sqrt((D + k*D^2/2) / delta_inf)
+    and the phase-saturation radius r_sat = (1 + 1e-9)*(D + sqrt(D^2 + 4*q))/2,
+    q = (2 + sqrt(4 + delta_inf^2*D^2)) / delta_inf^2.
 
     For r > D, element n at offset x = n*d <= D has |R_n - r| <= x and
     R_n >= r - D.  Its phase gap k*(R_n - r + x*cos) equals
@@ -254,10 +256,22 @@ def linf_mismatch_bound(cfg: ArrayConfig, delta_inf: float) -> float:
     |e_n| <= (x + k*x^2/2) / (r - D)^2 <= (D + k*D^2/2) / (r - D)^2,
     which falls below delta_inf for r > r_inf.  Unlike small_angle_envelope
     it holds for every r > D.
+
+    Where the phase gap wraps, sin^2 <= 1 is the sharper bound: with
+    p = (r - D)*r <= R_n*r and |1/R_n - 1/r| = |R_n - r|/(R_n*r) <= D/p,
+    |e_n|^2 <= D^2/p^2 + 4/p, which decreases in r and equals delta_inf^2
+    at p = q, that is at r = (D + sqrt(D^2 + 4*q))/2.  This bound comes
+    within 1e-8 of the kernel, so r_sat carries a relative margin of 1e-9
+    for the kernel's rounding.
     """
     _require_positive("delta_inf", delta_inf)
     d_ap = cfg.aperture
-    return d_ap + math.sqrt((d_ap + 0.5 * cfg.wavenumber * d_ap * d_ap) / delta_inf)
+    r_inf = d_ap + math.sqrt((d_ap + 0.5 * cfg.wavenumber * d_ap * d_ap) / delta_inf)
+    spread = delta_inf * d_ap
+    # a square that overflows makes q, and r_sat, read inf
+    q = (2.0 + math.sqrt(4.0 + spread * spread)) / delta_inf / delta_inf
+    r_sat = (1.0 + 1e-9) * 0.5 * (d_ap + math.sqrt(d_ap * d_ap + 4.0 * q))
+    return min(r_inf, r_sat)
 
 
 def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
@@ -345,6 +359,7 @@ def _last_crossing(
     proven_bound: float | None = None,
     *,
     block: int = _SCAN_CHUNK,
+    majorant: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Range past the last grid point where the metric reaches delta, bisected
     with the scalar metric to bisection_tol (relative) inside the cell after
@@ -358,8 +373,11 @@ def _last_crossing(
     point at or below `proven_bound` (a range beyond which the metric
     provably stays below delta), else the horizon, and steps down one window
     at a time to the first that holds a violation: nothing below it can move
-    the last crossing.  A proven bound whose window reaches past
-    MAX_RANGE_M, where no range can be evaluated, raises
+    the last crossing.  `majorant` maps ranges to upper bounds on the batch
+    metric's values; a window where it lies below delta (below the trailing
+    limit when there is one) at every point holds no violation, and the scan
+    steps past it without calling the batch metric.  A proven bound whose
+    window reaches past MAX_RANGE_M, where no range can be evaluated, raises
     HorizonExceededError.  `trailing`, as (r_from, limit, message) with
     limit <= delta, requires every grid point at or beyond r_from to lie
     below limit, raising HorizonExceededError(message) otherwise.  Each
@@ -374,8 +392,11 @@ def _last_crossing(
     if proven_bound is not None and grid[min(start + block, len(grid)) - 1] > MAX_RANGE_M:
         raise HorizonExceededError(f"proven bound {proven_bound} m puts the scan's first "
                                    f"window beyond the largest range {MAX_RANGE_M!r} m")
+    clear = delta if trailing is None else min(delta, trailing[1])
     for lo in range(start, -1, -block):
         window = grid[lo : lo + block]
+        if majorant is not None and np.all(majorant(window) < clear):
+            continue
         values = np.asarray(batch_metric(window), dtype=float)
         if trailing is not None:
             r_from, limit, message = trailing
@@ -410,6 +431,7 @@ def optimal_radius(
     proven_bound: float | None = None,
     batch_metric: Callable[[np.ndarray], np.ndarray] | None = None,
     block: int = _SCAN_CHUNK,
+    majorant: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> OptimalRadius:
     """Smallest radius beyond which metric(r) stays strictly below delta.
 
@@ -428,7 +450,10 @@ def optimal_radius(
     bound lies beyond its horizon.  The scan evaluates one window of `block`
     ranges at a time, counted from r_min; pass the batch metric's kernel
     block (metrics.block_rows) to make each window one kernel block.
-    Returns r_min when no scanned point violates the tolerance.
+    `majorant`, which maps ranges to upper bounds on the batch metric's
+    values, lets the scan skip every window it clears (see _last_crossing);
+    the radius stays the same.  Returns r_min when no scanned point violates
+    the tolerance.
 
     A NaN, infinite or non-positive r_min, and a NaN or non-positive bound
     or horizon, raise ValueError; an infinite one, or a proven bound whose
@@ -472,6 +497,7 @@ def optimal_radius(
         trailing,
         proven_bound,
         block=block,
+        majorant=majorant,
     )
     return OptimalRadius(radius=radius, certified=certified)
 
@@ -487,8 +513,9 @@ def boundary_set(
 
     The opt_linf and opt_l2 scans start at linf_mismatch_bound and
     l2_mismatch_bound, and the SE scan at se_gain_bound, one kernel block per
-    window and per kernel call.  The grids still end at twice spf and twice
-    l2_certification_bound (at the heuristic horizon for SE), or at the
+    window and per kernel call; the SE scan skips every window where
+    se_loss_bound stays below delta_se.  The grids still end at twice spf and
+    twice l2_certification_bound (at the heuristic horizon for SE), or at the
     proven bound where that lies beyond; that end only fixes where the grid
     points sit.  A delta_2 at or below the l2 kernel's rounding floor
     k*D*2^-52 is refused with ValueError before any scan.
@@ -528,7 +555,8 @@ def boundary_set(
         opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2, **l2_bounds)
     opt_se = solve(se_loss_worst, se_loss_worst_batch, (budget, angle_policy), tol.delta_se,
                    heuristic_horizon=max(rayleigh, sspf, r_min),
-                   proven_bound=se_gain_bound(cfg, tol.delta_se, budget))
+                   proven_bound=se_gain_bound(cfg, tol.delta_se, budget),
+                   majorant=partial(se_loss_bound, cfg, budget))
     return BoundarySet(
         rayleigh=rayleigh,
         epf=epf,

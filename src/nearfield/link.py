@@ -174,6 +174,57 @@ def se_loss_worst_batch(
         )
 
 
+def se_loss_bound(cfg: ArrayConfig, budget: LinkBudget, ranges) -> np.ndarray:
+    """Upper bound U(r) on the worst-case SE loss over the look angle at each
+    range, as the kernel computes it; inf where no bound holds.
+
+    Write A = (lambda/(4*pi))^2, x_n = n*d and rho_d = data_snr, and take
+    r > D.  The loss at angle theta is
+    L = log2(1 + rho_d*G) - log2(1 + s(G, eta)), s = _snr_mismatched.
+
+    - Gain.  R_n^2 = (r - x_n)^2 + 2*r*x_n*(1 - cos) puts R_n in
+      [r - x_n, r + x_n], so G_l = A*sum_n 1/(r + x_n)^2 <= G <= G_e =
+      A*sum_n 1/(r - x_n)^2.
+    - Phase.  dphi_n = k*x_n^2*sin^2 / (R_n + r - x_n*cos), and
+      R_n >= r - x_n*cos >= r - x_n, so dphi_n lies in [0, Phi_n] with
+      Phi_n = k*x_n^2 / (2*(r - x_n)).
+    - eta = |sum_n e^{j*dphi_n}/R_n|^2 / (N*sum_n 1/R_n^2).  Each real part
+      cos(dphi_n)/R_n is at least c_n: cos(Phi_n)/(r + x_n) when
+      Phi_n <= pi/2, where the cosine is nonnegative, else
+      cos(min(Phi_n, pi))/(r - x_n).  The modulus is at least the real part,
+      so eta >= eta_l = max(0, sum_n c_n)^2 / (N*sum_n 1/(r - x_n)^2).
+    - Monotonicity.  With y = eta*G, a = rho_d/E + 1 and b = 1/E for the pilot
+      energy E, s = min(rho_d*y^2/(a*y + b), rho_d*y), and
+      d/dy [rho_d*y^2/(a*y + b)] = rho_d*y*(a*y + 2*b)/(a*y + b)^2 >= 0, so s
+      is nondecreasing in y >= 0, hence in eta and in G.
+
+    So L <= log2(1 + rho_d*G_e) - log2(1 + s(G_l, eta_l)) at every angle.
+    U adds 1e-9*(1 + log2(1 + rho_d*G_e)) to it, far above the kernel's
+    rounding of about 1e-15*(1 + L), so U bounds the kernel's values too.
+    At eta_l = 0, U < delta_se is, up to that allowance, the end-fire gain
+    bound's criterion rho_d*G_e < 2^delta_se - 1.  U is inf at r <= D, where G_l underflows to
+    0 (the kernel's gain does too) and where any term is not finite.
+    """
+    r = np.asarray(ranges, dtype=float)[:, None]
+    x = cfg.element_offsets()
+    amp = cfg.wavelength / (4.0 * math.pi)
+    # float-edge terms come out inf, 0 or NaN; the check below refuses them
+    with np.errstate(all="ignore"):
+        near, far = r - x, r + x
+        inv_near2 = (1.0 / (near * near)).sum(axis=1)
+        gain_hi = (amp * amp) * inv_near2
+        gain_lo = (amp * amp) * (1.0 / (far * far)).sum(axis=1)
+        phi = cfg.wavenumber * x * x / (2.0 * near)
+        c = np.where(phi <= 0.5 * math.pi, np.cos(phi) / far,
+                     np.cos(np.minimum(phi, math.pi)) / near)
+        eta_lo = np.maximum(c.sum(axis=1), 0.0) ** 2 / (cfg.n_elements * inv_near2)
+        se_hi = np.log1p(budget.data_snr * gain_hi) / _LN2
+        bound = (se_hi - np.log1p(_snr_mismatched(gain_lo, eta_lo, budget)) / _LN2
+                 + 1e-9 * (1.0 + se_hi))
+    ok = (r[:, 0] > cfg.aperture) & (gain_lo > 0.0) & np.isfinite(bound)
+    return np.where(ok, bound, np.inf)
+
+
 def nmse_lower_bound(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> float:
     """Floor of the planar-constrained estimator's NMSE: (1 - eta) + noise term."""
     return se_loss(cfg, pos, budget).nmse_floor

@@ -391,6 +391,85 @@ def test_flagship_linf_l2_scans_stop_at_the_majorants(cfg300, monkeypatch):
     assert bounds.opt_linf_certified and bounds.opt_l2_certified
 
 
+def _count_ranges(monkeypatch, name):
+    """Patch the boundaries kernel `name` to record how many ranges each call takes."""
+    seen = []
+    real = getattr(boundaries, name)
+
+    def counting(cfg, rs, *args):
+        seen.append(len(rs))
+        return real(cfg, rs, *args)
+
+    monkeypatch.setattr(boundaries, name, counting)
+    return seen
+
+
+def test_linf_bound_takes_the_phase_saturation_radius():
+    """Where the phase gap wraps many times, sin^2 <= 1 bounds the mismatch
+    far below r_inf: at 1e150 GHz with 1 m spacing r_inf is 1.53e78 m, and
+    the scan used to walk about 75 decades down from it."""
+    cfg = ArrayConfig(carrier_freq=1e159, n_elements=16, spacing=1.0)
+    d_ap, delta = cfg.aperture, 1e-3
+    r_sat = linf_mismatch_bound(cfg, delta)
+    assert r_sat == pytest.approx(2007.528, rel=1e-6)
+    # D^2/p^2 + 4/p = delta^2 at p = (r - D)*r, r = r_sat less its 1e-9 margin
+    r = r_sat / (1.0 + 1e-9)
+    p = (r - d_ap) * r
+    assert d_ap**2 / p**2 + 4.0 / p == pytest.approx(delta**2, rel=1e-12)
+    assert e_linf_worst_batch(cfg, np.array([r_sat]))[0][0] < delta
+
+
+def test_linf_scan_of_a_wrapping_phase_evaluates_one_block(monkeypatch):
+    seen = _count_ranges(monkeypatch, "e_linf_worst_batch")
+    cfg = ArrayConfig(carrier_freq=1e159, n_elements=16, spacing=1.0)
+    bounds = boundary_set(cfg, Tolerances(delta_2=1e150))
+    assert sum(seen) == block_rows(cfg, AngleSearchPolicy()) == 64
+    assert f"{bounds.opt_linf:.12g}" == "2007.24965376" and bounds.opt_linf_certified
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    freq_ghz=st.floats(0.5, 300.0),
+    n_elements=st.integers(2, 64),
+    spacing_exp=st.floats(0.0, 4.0),
+    depth=st.floats(-8.0, 0.0),
+)
+def test_linf_bound_dominates_the_kernel_at_wide_spacings(freq_ghz, n_elements, spacing_exp,
+                                                          depth):
+    """As test_majorants_dominate_the_worst_case_kernels, at spacings up to
+    10^4 half-wavelengths, where the phase-saturation radius takes over."""
+    lam = 3e8 / (freq_ghz * 1e9)
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements,
+                      spacing=0.5 * lam * 10**spacing_exp)
+    d_ap = cfg.aperture
+    r = d_ap + (1e4 * resolve_r_min(cfg, EnvelopeSearchPolicy()) - d_ap) * 10**depth
+    assert r > d_ap
+    linf = e_linf_worst_batch(cfg, np.array([r]))[0][0]
+    assert r <= linf_mismatch_bound(cfg, linf)
+
+
+@pytest.mark.parametrize(
+    "freq_ghz, n_elements, scale, ranges",
+    [
+        (28, 4, 10, 0),  # every window cleared: was 1,600 ranges
+        (28, 4, 1, 128),  # was 256
+        (300, 64, 1, 43),  # the flagship: was 86
+    ],
+)
+def test_se_scan_skips_the_windows_its_loss_bound_clears(freq_ghz, n_elements, scale, ranges,
+                                                         monkeypatch):
+    seen = _count_ranges(monkeypatch, "se_loss_worst_batch")
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    bounds = boundary_set(cfg, Tolerances(1e-3 * scale, 1e-3 * scale, 0.5 * scale))
+    assert sum(seen) == ranges
+    if ranges == 0:
+        assert bounds.opt_se == resolve_r_min(cfg, EnvelopeSearchPolicy())
+    if n_elements == 64:
+        assert bounds.opt_se == pytest.approx(0.969368176382184, rel=1e-9)
+        assert bounds.opt_linf == 55.82867055805448 and bounds.opt_l2 == 1410.60128533603
+    assert not bounds.opt_se_certified
+
+
 def test_optimal_radius_trivial_tolerance(cfg10_5):
     r_min = resolve_r_min(cfg10_5, FAST_ENVELOPE)
     result = optimal_radius(
@@ -638,6 +717,29 @@ def test_last_crossing_skips_chunks_above_the_proven_bound(last):
     )
     with pytest.raises(HorizonExceededError, match="^trailing decade"):
         _solve(metric, batch, heuristic_horizon=1.0)
+
+
+@pytest.mark.parametrize("last", [100, 2 * _SCAN_CHUNK + 8])
+def test_last_crossing_skips_windows_its_majorant_clears(last):
+    """A majorant of 0.4 above 20 m (about index 526) clears the 41-range top
+    chunk alone: the scan goes on from the chunk from 512 to the same radius."""
+    metric, batch, seen = _step_metric(float(ENGINE_GRID[last]))
+    res = _solve(metric, batch, analytic_bound=50.0,
+                 majorant=lambda rs: np.where(rs > 20.0, 0.4, 1.0))
+    first_scanned = last // _SCAN_CHUNK * _SCAN_CHUNK
+    assert np.array_equal(np.sort(seen), ENGINE_GRID[first_scanned : 3 * _SCAN_CHUNK])
+    assert res.radius == _solve(metric, batch).radius
+
+
+@pytest.mark.parametrize("above, cleared", [(0.3, False), (0.2, True)])
+def test_a_majorant_clears_the_trailing_decade_only_below_its_limit(above, cleared):
+    """On the heuristic scan a window is skipped only where the majorant lies
+    below the trailing limit delta * CERTIFICATION_MARGIN = 0.25."""
+    metric, batch, seen = _step_metric(float(ENGINE_GRID[100]))
+    heuristic = {"heuristic_horizon": 1.0}
+    res = _solve(metric, batch, majorant=lambda rs: np.where(rs > 20.0, above, 1.0), **heuristic)
+    assert np.array_equal(np.sort(seen), ENGINE_GRID[: 3 * _SCAN_CHUNK if cleared else None])
+    assert res.radius == _solve(metric, batch, **heuristic).radius
 
 
 def _check_proven_bound_beyond_the_horizon(horizon):

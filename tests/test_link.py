@@ -17,6 +17,7 @@ from nearfield import (
     nmse_bias_approx,
     nmse_lower_bound,
     se_loss,
+    se_loss_bound,
     se_loss_worst,
     se_optimal,
     snr_mismatched,
@@ -230,3 +231,59 @@ def test_nmse_monte_carlo_consistency_smoke(cfg10_5):
     bound = nmse_lower_bound(cfg10_5, pos, budget)
     assert mean >= bound - 3 * stderr
     assert mean == pytest.approx(bound, rel=0.10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    freq_ghz=st.floats(0.5, 300.0),
+    n_elements=st.integers(1, 64),
+    spacing_exp=st.floats(-1.0, 2.0),
+    data_snr_db=st.floats(0.0, 90.0),
+    pilot_snr_db=st.floats(0.0, 60.0),
+    pilot_len=st.integers(1, 128),
+    depth=st.floats(-8.0, 0.0),
+)
+def test_se_loss_bound_dominates_the_worst_case_loss(
+    freq_ghz, n_elements, spacing_exp, data_snr_db, pilot_snr_db, pilot_len, depth
+):
+    """U(r) lies above the kernel's worst-case loss and above the loss on a
+    dense angle grid at r in (D, 10^4 * D + 1 m]; its rounding allowance is
+    part of U, so no slack is added here."""
+    lam = 3e8 / (freq_ghz * 1e9)
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements,
+                      spacing=0.5 * lam * 10**spacing_exp)
+    budget = LinkBudget(pilot_snr=10 ** (pilot_snr_db / 10), data_snr=10 ** (data_snr_db / 10),
+                        pilot_len=pilot_len)
+    d_ap = cfg.aperture
+    r = d_ap + (1e4 * d_ap + 1.0) * 10**depth
+    assert r > d_ap
+    bound = se_loss_bound(cfg, budget, [r])[0]
+    assert bound >= se_loss_worst_batch(cfg, np.array([r]), budget)[0][0]
+    assert bound >= oracles.se_loss_dense_max(cfg, r, budget, n_angles=4_000)[0]
+
+
+def test_se_loss_bound_has_no_value_within_the_aperture(cfg300):
+    d_ap = cfg300.aperture
+    bound = se_loss_bound(cfg300, DEFAULT_BUDGET, [0.5 * d_ap, d_ap, 1.001 * d_ap, 2.0 * d_ap])
+    assert np.all(np.isinf(bound[:2])) and np.all(np.isfinite(bound[2:]))
+    # one element: no phase gap, eta = 1, and U is the pilot-noise floor
+    one = ArrayConfig(carrier_freq=1e9, n_elements=1)
+    r = 31.8
+    floor = se_loss_worst(one, r, DEFAULT_BUDGET).value
+    assert floor < se_loss_bound(one, DEFAULT_BUDGET, [r])[0] <= floor + 1e-8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "freq_ghz, n_elements, data_snr_db, r",
+    [
+        (28, 4, 60, 1e-100),  # inside the aperture
+        (1e-9, 1, 60, 1e-150),  # G overflows
+        (1e-9, 3, 3000, 0.5),  # rho_d * G overflows
+        (1e160, 5, 60, 300.0),  # G underflows to 0
+    ],
+)
+def test_se_loss_bound_at_the_float_edges_warns_nothing(freq_ghz, n_elements, data_snr_db, r):
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements)
+    budget = LinkBudget(pilot_snr=1e4, data_snr=10 ** (data_snr_db / 10), pilot_len=64)
+    assert se_loss_bound(cfg, budget, [r])[0] == math.inf
