@@ -392,7 +392,7 @@ def _last_crossing(
     if proven_bound is not None and grid[min(start + block, len(grid)) - 1] > MAX_RANGE_M:
         raise HorizonExceededError(f"proven bound {proven_bound} m puts the scan's first "
                                    f"window beyond the largest range {MAX_RANGE_M!r} m")
-    clear = delta if trailing is None else min(delta, trailing[1])
+    clear = delta if trailing is None else trailing[1]  # limit <= delta
     for lo in range(start, -1, -block):
         window = grid[lo : lo + block]
         if majorant is not None and np.all(majorant(window) < clear):
