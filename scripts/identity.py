@@ -23,6 +23,8 @@ The fixed set:
   `--points-per-decade 150 --coarse-angles 181 --curve-points 50`;
 - `curve` CSVs for linf, l2 and se at 28 GHz, N = 4, 16 and 64, and at
   N = 128 with 24 points, whose kernel rows are split over angle tiles;
+- one-range `curve` CSVs (`--r-points 1`, one-row kernel blocks) for linf,
+  l2 and se at 28 GHz, N = 4, 16 and 64, and at 300 GHz, N = 1,024;
 - `se --json` at a fixed angle and at the worst-case angle, and at the
   worst-case angle at N = 128;
 - `boundaries --json` at 300 GHz / 64 elements;
@@ -133,6 +135,14 @@ def _cli_calls(quick: bool):
          ["curve", "--metric", metric, "--freq-ghz", "28", "--elements", "128",
           "--r-start", "0.05", "--r-stop", "500", "--r-points", "24", "--out", "curve.csv"],
          None)
+        for metric in ("linf", "l2", "se")
+    ]
+    calls += [
+        (f"curve-{metric}-{f}GHz-N{n}-one-range",
+         ["curve", "--metric", metric, "--freq-ghz", f, "--elements", str(n),
+          "--r-start", r, "--r-stop", r, "--r-points", "1", "--out", "curve.csv"], None)
+        for f, n, r in (("28", 4, "0.5"), ("28", 16, "0.5"), ("28", 64, "0.5"),
+                        ("300", 1024, "2"))
         for metric in ("linf", "l2", "se")
     ]
     huge = ["--freq-ghz", "1e160", "--elements", "4", "--spacing-m", "1e150"]
