@@ -286,12 +286,24 @@ def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
     sum_n 1/R_n^2 >= N / (r + D)^2.  Hence e_l2 <= (r + D)*A / (r - D)^2,
     which decreases on r > D and equals delta_2 at r_2, the positive root of
     delta_2*u^2 - A*u - 2*A*D = 0 in u = r - D.
+
+    Where the phase gaps wrap, A grows with k*D^2 while the mismatch stays
+    bounded, and the smaller phase-saturation radius
+    r_sat = (1 + 1e-9)*D / (delta_2 - 2), for delta_2 > 2, is returned
+    instead.  The triangle inequality gives
+    e_l2 = |h_nf - h_ff| / |h_nf| <= 1 + |h_ff| / |h_nf|, and with
+    |h_ff|^2 = N/r^2 and |h_nf|^2 = sum_n 1/R_n^2 >= N/(r + D)^2 this is at
+    most 1 + (r + D)/r = 2 + D/r, below delta_2 for r > D/(delta_2 - 2).
+    The 1e-9 margin covers the kernel's rounding, about 1e-15 relative.  At
+    delta_2 <= 2 there is no such radius, and r_2 stands.
     """
     _require_positive("delta_2", delta_2)
     x = cfg.element_offsets()
     a = math.sqrt(np.mean(x * x)) + 0.5 * cfg.wavenumber * math.sqrt(np.mean(x**4))
     d_ap = cfg.aperture
-    return d_ap + (a + math.sqrt(a * a + 8.0 * a * d_ap * delta_2)) / (2.0 * delta_2)
+    r_2 = d_ap + (a + math.sqrt(a * a + 8.0 * a * d_ap * delta_2)) / (2.0 * delta_2)
+    r_sat = (1.0 + 1e-9) * d_ap / (delta_2 - 2.0) if delta_2 > 2.0 else math.inf
+    return min(r_2, r_sat)
 
 
 def _require_above_l2_floor(cfg: ArrayConfig, delta_2: float) -> None:

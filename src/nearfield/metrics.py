@@ -298,6 +298,57 @@ def _golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: i
     return np.where(take_c, c, d), np.where(take_c, yc, yd)
 
 
+# golden steps whose candidate abscissas one call of a one-row refinement covers
+_LOOKAHEAD = 4
+
+
+def _golden_step(a: float, b: float, c: float, d: float, left: bool):
+    """One step of _golden_max_batch on one row: the next (a, b, c, d), whose
+    new point is c after a left step and d after a right one."""
+    if left:
+        b = d
+        return a, b, a + _INV_PHI2 * (b - a), c
+    a = c
+    return a, b, d, a + _INV_PHI * (b - a)
+
+
+def _golden_candidates(a, b, c, d, known: dict, depth: int, tol: float, out: list) -> None:
+    """Append to out the new point of each of the next `depth` steps from
+    (a, b, c, d), under both outcomes of every comparison whose values `known`
+    lacks."""
+    if depth == 0 or b - a <= tol:
+        return
+    decided = c in known and d in known
+    for left in (known[c] >= known[d],) if decided else (True, False):
+        state = _golden_step(a, b, c, d, left)
+        out.append(state[2] if left else state[3])
+        _golden_candidates(*state, known, depth - 1, tol, out)
+
+
+def _golden_max_one(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int):
+    """_golden_max_batch on a one-row bracket, step for step on Python floats.
+
+    Where a point's value is unknown, one call of f evaluates it together with
+    every point the next _LOOKAHEAD - 1 steps may evaluate (1 + 2 + 4 + 8
+    abscissas at depth 4; the first call adds c and d).  Each value depends on
+    its own abscissa only, so the steps, and the result, keep their bits.
+    """
+    known: dict[float, float] = {}
+    a, b = lo.item(), hi.item()
+    h = b - a
+    c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
+    for step in range(max_iter + 1):
+        if c not in known or d not in known:
+            xs = [x for x in (c, d) if x not in known]
+            _golden_candidates(a, b, c, d, known, _LOOKAHEAD - 1, tol, xs)
+            known.update(zip(xs, f(np.array(xs)).tolist()))
+        if step == max_iter or b - a <= tol:
+            break
+        a, b, c, d = _golden_step(a, b, c, d, known[c] >= known[d])
+    take_c = known[c] >= known[d]
+    return np.array([c if take_c else d]), np.array([known[c] if take_c else known[d]])
+
+
 @lru_cache(maxsize=16)
 def _angle_grid(policy: AngleSearchPolicy) -> np.ndarray:
     grid = np.linspace(THETA_INSET, math.pi - THETA_INSET, policy.coarse_grid_points)
@@ -375,11 +426,11 @@ def worst_over_angle_batch(
         hi = thetas[np.minimum(idx + 1, n_t - 1)]
 
         def f(th: np.ndarray) -> np.ndarray:
-            return _tiled(grid_fn, cfg, rb, _clamped_cos(th)[:, None])[:, 0]
+            # one angle per row, or every angle for a one-row block
+            return _tiled(grid_fn, cfg, rb, _clamped_cos(th).reshape(len(rb), -1)).ravel()
 
-        ref_t, ref_v = _golden_max_batch(
-            f, lo, hi, policy.refine_tolerance, policy.refine_max_iter
-        )
+        refine = _golden_max_one if len(rb) == 1 else _golden_max_batch
+        ref_t, ref_v = refine(f, lo, hi, policy.refine_tolerance, policy.refine_max_iter)
         better = ref_v > best_v
         values[start : start + block] = np.where(better, ref_v, best_v)
         theta_stars[start : start + block] = np.where(better, ref_t, best_t)

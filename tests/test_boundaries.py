@@ -420,12 +420,27 @@ def test_linf_bound_takes_the_phase_saturation_radius():
 
 
 def test_linf_scan_of_a_wrapping_phase_evaluates_one_block(monkeypatch):
-    """It walked about 150,000 ranges; delta_2 = 1e152 keeps the l2 scan to 896."""
+    """It walked about 150,000 ranges."""
     seen = _count_ranges(monkeypatch, "e_linf_worst_batch")
     cfg = ArrayConfig(carrier_freq=1e159, n_elements=16, spacing=1.0)
     bounds = boundary_set(cfg, Tolerances(delta_2=1e152))
     assert sum(seen) == block_rows(cfg, AngleSearchPolicy()) == 64
     assert f"{bounds.opt_linf:.12g}" == "2007.24965376" and bounds.opt_linf_certified
+
+
+def test_l2_bound_takes_the_phase_saturation_radius(monkeypatch):
+    """e_l2 <= 2 + D/r bounds a wrapping phase where r_2 = 1,149.7 m does not:
+    the l2 scan walked 3,776 ranges down from r_2 at delta_2 = 1e150."""
+    cfg = ArrayConfig(carrier_freq=1e159, n_elements=16, spacing=1.0)
+    d_ap = cfg.aperture
+    assert l2_mismatch_bound(cfg, 2.0) > 1e152  # r_2: no saturation radius at delta_2 <= 2
+    assert l2_mismatch_bound(cfg, 3.0) == (1.0 + 1e-9) * d_ap
+    assert l2_mismatch_bound(cfg, 1e150) == (1.0 + 1e-9) * d_ap / (1e150 - 2.0)
+    seen = _count_ranges(monkeypatch, "e_l2_worst_batch")
+    bounds = boundary_set(cfg, Tolerances(delta_2=1e150))
+    assert sum(seen) == block_rows(cfg, AngleSearchPolicy()) == 64
+    assert bounds.opt_l2 == resolve_r_min(cfg, EnvelopeSearchPolicy()) == 15.0
+    assert bounds.opt_l2_certified
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -23,7 +23,7 @@ from nearfield import (
     resolve_r_min,
     spf_distance,
 )
-from nearfield import metrics
+from nearfield import link, metrics
 from nearfield.arrays import MAX_RANGE_M, MIN_RANGE_M, DegenerateGeometryError
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
 from nearfield.metrics import (
@@ -230,6 +230,88 @@ def test_golden_max_finds_quadratic_peak():
     )
     assert x[0] == pytest.approx(0.3, abs=1e-6)
     assert v[0] == pytest.approx(0.0, abs=1e-10)
+
+
+_CELL = math.pi / 721  # the width of a default coarse-grid cell
+# (function of the abscissa, lo, hi, tol, max_iter): one-row brackets
+_GOLDEN_CASES = {
+    "smooth-peak": (lambda t: -((t - 0.3) ** 2), 0.3 - _CELL, 0.3 + 0.7 * _CELL, 1e-6, 200),
+    "wide-peak": (lambda t: np.sin(3.0 * t), 0.0, 1.0, 1e-9, 200),
+    "step": (lambda t: np.where(t < 1.0012, 2.0, 1.0), 1.0, 1.0 + 2 * _CELL, 1e-6, 200),
+    "kink": (lambda t: -np.abs(t - 0.377), 0.37, 0.37 + 2 * _CELL, 1e-6, 200),
+    # every value ties: each comparison goes to c
+    "plateau": (lambda t: np.ones_like(t), 0.5, 0.5 + 2 * _CELL, 1e-6, 200),
+    "plateau-edge": (lambda t: np.minimum(1.0, 3.0 - 500.0 * np.abs(t - 0.502)),
+                     0.5, 0.5 + 2 * _CELL, 1e-6, 200),
+    "nan-some": (lambda t: np.where(np.sin(3e4 * t) > 0.3, np.nan, np.cos(t - 0.8)),
+                 0.8 - _CELL, 0.8 + _CELL, 1e-6, 200),
+    "nan-all": (lambda t: np.full_like(t, np.nan), 0.2, 0.2 + 2 * _CELL, 1e-6, 200),
+    "interval-start": (lambda t: -t, metrics.THETA_INSET, metrics.THETA_INSET + _CELL, 1e-6, 200),
+    "interval-end": (lambda t: t, math.pi - metrics.THETA_INSET - _CELL,
+                     math.pi - metrics.THETA_INSET, 1e-6, 200),
+    "already-within-tol": (lambda t: np.sin(t), 1.0, 1.0 + 5e-7, 1e-6, 200),
+    "cap-inside-a-call": (lambda t: -((t - 0.31) ** 2), 0.3, 0.3 + 2 * _CELL, 1e-6, 3),
+    "no-steps": (lambda t: np.cos(t), 0.3, 0.3 + 2 * _CELL, 1e-6, 0),
+}
+
+
+def _one_row_max(case, refine):
+    fn, lo, hi, tol, max_iter = _GOLDEN_CASES[case]
+    x, v = refine(fn, np.array([lo]), np.array([hi]), tol, max_iter)
+    return x.tobytes(), v.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_CASES))
+def test_one_row_golden_search_matches_the_batch_search_bitwise(case):
+    assert _one_row_max(case, metrics._golden_max_one) == _one_row_max(case, _golden_max_batch)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_one_row_golden_search_does_not_depend_on_its_lookahead(depth, monkeypatch):
+    default = {case: _one_row_max(case, metrics._golden_max_one) for case in _GOLDEN_CASES}
+    monkeypatch.setattr(metrics, "_LOOKAHEAD", depth)
+    assert {case: _one_row_max(case, metrics._golden_max_one) for case in _GOLDEN_CASES} == default
+
+
+def _one_range_queries(cfg):
+    ranges = [1.01 * cfg.aperture + 1e-3, 0.5, 3.0, 40.0]
+    return [(query.__name__, r, query(cfg, r))
+            for query in (e_linf_worst, e_l2_worst,
+                          lambda c, r: se_loss_worst(c, r, DEFAULT_BUDGET))
+            for r in ranges]
+
+
+@pytest.mark.parametrize("cfg", [ArrayConfig(carrier_freq=28e9, n_elements=n) for n in (2, 4, 16)]
+                         + [ArrayConfig(carrier_freq=300e9, n_elements=64)])
+def test_one_range_queries_match_the_batch_refinement_bitwise(cfg, monkeypatch):
+    """Through the real kernels, a one-row block's values and angles keep
+    their bits when the batch routine refines it instead."""
+    fast = _one_range_queries(cfg)
+    monkeypatch.setattr(metrics, "_golden_max_one", _golden_max_batch)
+    assert _one_range_queries(cfg) == fast
+
+
+def test_a_one_range_query_makes_at_most_7_kernel_calls(monkeypatch):
+    """One coarse call, then one call per four golden steps; sequential steps
+    took 1 + 2 + 19 = 22 calls for a default bracket."""
+    calls = []
+
+    def counting(grid_fn):
+        def wrapped(cfg, r, cos_t):
+            calls.append(cos_t.shape)
+            return grid_fn(cfg, r, cos_t)
+        return wrapped
+
+    monkeypatch.setattr(metrics, "_linf_grid", counting(metrics._linf_grid))
+    monkeypatch.setattr(metrics, "_l2_grid", counting(metrics._l2_grid))
+    se_grid = link._se_loss_grid
+    monkeypatch.setattr(link, "_se_loss_grid", lambda budget: counting(se_grid(budget)))
+    cfg = ArrayConfig(carrier_freq=28e9, n_elements=4)
+    for query in (e_linf_worst, e_l2_worst, lambda c, r: se_loss_worst(c, r, DEFAULT_BUDGET)):
+        calls.clear()
+        query(cfg, 0.5)
+        assert 2 <= len(calls) <= 7
+        assert calls[0] == (1, len(metrics._angle_grid(AngleSearchPolicy())))
 
 
 @pytest.mark.parametrize(
