@@ -43,14 +43,21 @@ The fixed set:
   spacings, a `--delta-2` below the l2 kernel's rounding floor, and an
   infinite or NaN `--theta-deg`;
 - SE budgets: `boundaries --json` at 28 GHz, N = 4 and 64, at `--delta-se`
-  5 and 0.05, and the same at `--data-snr-db 0 --pilot-len 1`.
+  5 and 0.05, and the same at `--data-snr-db 0 --pilot-len 1`;
+- output paths that cannot be written: `curve --out` in a missing directory
+  and `reproduce --out-dir` naming a regular file;
+- direct library calls at 28 GHz, N = 4 and 64, and 300 GHz, N = 64, at
+  0.5 m and 5 m: `e_linf_worst`, `e_l2_worst` and `se_loss_worst` (value and
+  theta*), and at look angles 0.3 and 1.6 rad `e_linf_at`, `e_l2_at`,
+  `array_gain_efficiency` and every field of `se_loss`.
 
 Each CLI call prints every warning it raises, once per source line, so a
 warning lands in the stderr entry of each call that raises it.
 
 `--quick` keeps two solves at 28 GHz, one bound of each kind, one curve, one
 call of each of `se` and `boundaries` at reduced search densities, one call
-with a file and one refusal.
+with a file, one refusal and the library calls at 28 GHz, N = 4, 0.5 m.
+An exception that escapes `cli.main` is recorded as the call's exit entry.
 """
 
 from __future__ import annotations
@@ -180,6 +187,9 @@ def _cli_calls(quick: bool):
         *_single_element_calls(),
         *_edge_calls(),
         *_se_budget_calls(),
+        ("refuse-out-in-missing-dir", [*curve_file[:-1], "missing/curve.csv"], None),
+        # the run directory's config file stands for any regular file
+        ("refuse-out-dir-is-a-file", ["reproduce", "fig3-se", "--out-dir", CONFIG], "{}"),
     ]
 
 
@@ -224,6 +234,31 @@ def _se_budget_calls():
              ["boundaries", "--freq-ghz", "28", "--elements", str(n), "--delta-se", delta,
               *budget, "--json"], None)
             for budget in ([], weak) for n in (4, 64) for delta in ("5", "0.05")]
+
+
+def _library_entries(nearfield, quick: bool) -> dict:
+    """The scalar views and point functions, called directly."""
+    out: dict[str, str] = {}
+    budget = nearfield.DEFAULT_BUDGET
+    configs = [(28, 4)] if quick else [(28, 4), (28, 64), (300, 64)]
+    for (f, n), r in [(fn, r) for fn in configs for r in ((0.5,) if quick else (0.5, 5.0))]:
+        cfg = nearfield.ArrayConfig(carrier_freq=f * 1e9, n_elements=n)
+        for name, view in (("e_linf_worst", nearfield.e_linf_worst),
+                           ("e_l2_worst", nearfield.e_l2_worst),
+                           ("se_loss_worst", lambda c, x: nearfield.se_loss_worst(c, x, budget))):
+            _guard(out, f"lib/{name}/{f}GHz-N{n}/r{r}", lambda: {
+                k: repr(v) for k, v in dataclasses.asdict(view(cfg, r)).items() if k != "range_m"
+            })
+        for theta in (0.3, 1.6):
+            pos = nearfield.PolarPosition(theta=theta, range_m=r)
+            key = f"{f}GHz-N{n}/r{r}/theta{theta}"
+            for fn in (nearfield.e_linf_at, nearfield.e_l2_at, nearfield.array_gain_efficiency):
+                _guard(out, f"lib/{fn.__name__}/{key}", lambda: repr(fn(cfg, pos)))
+            _guard(out, f"lib/se_loss/{key}", lambda: {
+                k: repr(v)
+                for k, v in dataclasses.asdict(nearfield.se_loss(cfg, pos, budget)).items()
+            })
+    return out
 
 
 def _sha256(data: bytes) -> str:
@@ -284,6 +319,7 @@ def entries(tree: Path, quick: bool) -> dict:
     for f, n in [(28, 4)] if quick else [(10, 5), (28, 16), (300, 64)]:
         cfg = nearfield.ArrayConfig(carrier_freq=f * 1e9, n_elements=n)
         _guard(out, f"epf_distance/{f}GHz-N{n}", lambda: repr(nearfield.epf_distance(cfg, 1e-3)))
+    out.update(_library_entries(nearfield, quick))
     for label, argv, config in _cli_calls(quick):
         with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
             if config is not None:
@@ -297,6 +333,8 @@ def entries(tree: Path, quick: bool) -> dict:
                         warnings.catch_warnings():
                     warnings.simplefilter("default")
                     code = cli.main(argv)
+            except Exception as exc:  # an escaping exception is an output too
+                code = f"raised {type(exc).__name__}: {exc}"
             finally:
                 os.chdir(cwd)
             out[f"cli/{label}/exit"] = repr(code)
