@@ -40,8 +40,9 @@ The fixed set:
 - inputs at the edges of the float range: SE arithmetic that over- or
   underflows (`curve` at 1e-100 m and at a 3000 dB data SNR, `se` at a
   1e-154 GHz carrier), an l2 bound beyond the largest range, at two
-  spacings, a `--delta-2` below the l2 kernel's rounding floor, and an
-  infinite or NaN `--theta-deg`;
+  spacings, a `--delta-2` below the l2 kernel's rounding floor, an
+  infinite or NaN `--theta-deg`, and `boundaries` where the envelopes' r**3
+  underflows, where the l2 bound's x**4 overflows and where D**2 overflows;
 - SE budgets: `boundaries --json` at 28 GHz, N = 4 and 64, at `--delta-se`
   5 and 0.05, and the same at `--data-snr-db 0 --pilot-len 1`;
 - output paths that cannot be written: `curve --out` in a missing directory
@@ -223,6 +224,14 @@ def _edge_calls():
          None),
         ("se-theta-inf", [*se_28, "--theta-deg", "inf"], None),
         ("se-theta-nan", [*se_28, "--theta-deg", "nan"], None),
+        ("boundaries-envelope-cube-underflows", ["boundaries", "--freq-ghz", "1e150",
+                                                 "--elements", "2"], None),
+        ("boundaries-l2-bound-powers-overflow", ["boundaries", "--freq-ghz", "1", "--elements",
+                                                 "4", "--spacing-m", "1e150", "--delta-inf",
+                                                 "1e150"], None),
+        ("boundaries-aperture-square-overflows", ["boundaries", "--freq-ghz", "1e150",
+                                                  "--elements", "4", "--spacing-m", "1e150",
+                                                  "--delta-2", "0.1"], None),
     ]
 
 
