@@ -172,8 +172,8 @@ def phase_amp_envelope(cfg: ArrayConfig, r) -> np.ndarray | float:
     """Angle-free mismatch majorant D^2/(2r^3) + (2/r)|sin(k*D^2/(4r))|."""
     r = np.asarray(r, dtype=float)
     d_sq = cfg.aperture * cfg.aperture
-    # an overflowing r**3 makes its term read 0, which is its limit
-    with np.errstate(over="ignore"):
+    # an overflowing r**3 makes its term read 0, its limit; inf or NaN pass unwarned
+    with np.errstate(all="ignore"):
         phase = np.abs(np.sin(cfg.wavenumber * d_sq / (4.0 * r)))
         return d_sq / (2.0 * r**3) + (2.0 / r) * phase
 
@@ -226,8 +226,8 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
         return 0.0
 
     def h(r):
-        # an overflowing r**3 makes its term read 0, which is its limit
-        with np.errstate(over="ignore"):
+        # as in phase_amp_envelope
+        with np.errstate(all="ignore"):
             return (r + d_ap) * small_angle_envelope(cfg, r)
 
     hi = max(d_ap, cfg.spacing)
@@ -299,7 +299,9 @@ def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
     """
     _require_positive("delta_2", delta_2)
     x = cfg.element_offsets()
-    a = math.sqrt(np.mean(x * x)) + 0.5 * cfg.wavenumber * math.sqrt(np.mean(x**4))
+    # offsets whose powers overflow make A and r_2 inf, which the scan refuses
+    with np.errstate(over="ignore"):
+        a = math.sqrt(np.mean(x * x)) + 0.5 * cfg.wavenumber * math.sqrt(np.mean(x**4))
     d_ap = cfg.aperture
     r_2 = d_ap + (a + math.sqrt(a * a + 8.0 * a * d_ap * delta_2)) / (2.0 * delta_2)
     r_sat = (1.0 + 1e-9) * d_ap / (delta_2 - 2.0) if delta_2 > 2.0 else math.inf

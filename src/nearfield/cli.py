@@ -192,16 +192,14 @@ def cmd_se(args) -> int:
     if args.theta_deg is not None:
         if not math.isfinite(args.theta_deg):
             raise ValueError(f"theta_deg must be finite, got {args.theta_deg}")
-        pos = PolarPosition(theta=math.radians(args.theta_deg), range_m=args.range_m)
-        report = se_loss(cfg, pos, budget)
-        theta = pos.theta
+        theta = math.radians(args.theta_deg)
     else:
         angle_policy = AngleSearchPolicy(**_section(args, file_cfg, "angle_policy"))
         worst = se_loss_worst(cfg, args.range_m, budget, angle_policy)
         # a worst angle on the grid endpoint needs the open-interval floor to
         # re-evaluate without touching the array axis
         theta = max(worst.theta_star, THETA_OPEN_MIN)
-        report = se_loss(cfg, PolarPosition(theta=theta, range_m=args.range_m), budget)
+    report = se_loss(cfg, PolarPosition(theta=theta, range_m=args.range_m), budget)
     if args.json:
         doc = {
             "schema": 1,
@@ -326,7 +324,8 @@ def main(argv=None) -> int:
     except (HorizonExceededError, DegenerateGeometryError, ArithmeticError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    # an output path that cannot be written: its message names the path
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

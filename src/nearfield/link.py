@@ -12,8 +12,7 @@ from .metrics import (
     AngleSearchPolicy,
     MetricSample,
     array_gain_efficiency,
-    eta_and_inv2_sum,
-    geometry,
+    eta_grid,
     worst_over_angle_batch,
 )
 
@@ -132,9 +131,7 @@ def se_loss(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -> SERepor
 
 def _se_loss_grid(budget: LinkBudget):
     def grid_fn(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-        dist, _, dphi = geometry(cfg, r, cos_t)
-        inv = np.divide(1.0, dist, out=dist)
-        eta, inv2_sum = eta_and_inv2_sum(cfg.n_elements, inv, dphi)
+        eta, inv2_sum = eta_grid(cfg, r, cos_t)
         amp = cfg.wavelength / (4.0 * math.pi)
         gain = (amp * amp) * inv2_sum
         snr_opt = budget.data_snr * gain
@@ -150,8 +147,7 @@ def se_loss_worst(
     policy: AngleSearchPolicy | None = None,
 ) -> MetricSample:
     """Worst-case SE loss over the look angle at range r, in bits/s/Hz."""
-    values, thetas = se_loss_worst_batch(cfg, np.array([r], dtype=float), budget, policy)
-    return MetricSample(range_m=r, value=float(values[0]), theta_star=float(thetas[0]))
+    return MetricSample.of(r, se_loss_worst_batch(cfg, [r], budget, policy))
 
 
 def se_loss_worst_batch(

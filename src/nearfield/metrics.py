@@ -47,6 +47,9 @@ and the cell budget of one kernel block, which holds at least one row."""
 MAX_ANGLE_POINTS = 1_000_000
 """Largest coarse angle grid (AngleSearchPolicy.coarse_grid_points)."""
 
+MAX_THREADS = 256
+"""Largest NEARFIELD_THREADS value; the pool starts up to this many threads."""
+
 # most cells (rows x angles x elements) of one kernel call in the coarse pass
 # and the golden refinement, so its workspace stays near cache size
 _TILE_CELLS = 65_536
@@ -66,9 +69,9 @@ _workspace = _Workspace()
 
 def _scratch(shape: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """Five (B, T, N) arrays over this thread's workspace, valid until the
-    thread's next kernel call.  `geometry` fills the first three, passing
-    through the last; `_element_mismatch_sq` and `eta_and_inv2_sum` work in
-    the last two.
+    thread's next kernel call.  `_geometry` fills the first three, passing
+    through the last; `_element_mismatch_sq` works in the last two and
+    `eta_grid` in the last one.  No module but this one touches them.
 
     The buffers grow to the largest call seen and are kept for the thread's
     life, so a warm kernel call allocates no (B, T, N) array and faults no
@@ -104,8 +107,8 @@ def worker_count() -> int:
         n = int(raw) if raw else 0
     except ValueError as exc:
         raise ValueError(f"NEARFIELD_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ValueError(f"NEARFIELD_THREADS must be nonnegative, got {n}")
+    if not 0 <= n <= MAX_THREADS:
+        raise ValueError(f"NEARFIELD_THREADS must lie in [0, {MAX_THREADS}], got {n}")
     return n or _usable_cores()
 
 
@@ -165,8 +168,14 @@ class MetricSample:
     value: float
     theta_star: float
 
+    @classmethod
+    def of(cls, r: float, batch: tuple[np.ndarray, np.ndarray]) -> MetricSample:
+        """The sample at r from a batch search's one-range (values, theta_stars)."""
+        values, thetas = batch
+        return cls(range_m=r, value=float(values[0]), theta_star=float(thetas[0]))
 
-def geometry(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray):
+
+def _geometry(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray):
     """Distances, range offsets, and model phase gaps for ranges x cosines.
 
     r has shape (B,); cos_t has shape (B, T) or (1, T).  Returns three
@@ -213,34 +222,31 @@ def _element_mismatch_sq(r3: np.ndarray, dist: np.ndarray, rmr: np.ndarray, dphi
 
 
 def _linf_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-    dist, rmr, dphi = geometry(cfg, r, cos_t)
+    dist, rmr, dphi = _geometry(cfg, r, cos_t)
     return np.sqrt(_element_mismatch_sq(r[:, None, None], dist, rmr, dphi).max(axis=2))
 
 
 def _l2_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-    dist, rmr, dphi = geometry(cfg, r, cos_t)
+    dist, rmr, dphi = _geometry(cfg, r, cos_t)
     num = _element_mismatch_sq(r[:, None, None], dist, rmr, dphi).sum(axis=2)
     inv2 = np.multiply(dist, dist, out=dphi)
     den = np.divide(1.0, inv2, out=inv2).sum(axis=2)
     return np.sqrt(num / den)
 
 
-def eta_and_inv2_sum(n_elements: int, inv: np.ndarray, dphi: np.ndarray):
-    """Array-gain efficiency eta and sum_n 1/R_n^2 from the inverse distances
-    1/R and phase gaps dphi that `geometry` yields (elements on the last axis).
-    Its (B, T, N) products go to the workspace's last array."""
+def eta_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray):
+    """Array-gain efficiency eta and sum_n 1/R_n^2 for ranges x cosines, as
+    two (B, T) arrays from one `_geometry` pass; its (B, T, N) products go to
+    the workspace's last array."""
+    dist, _, dphi = _geometry(cfg, r, cos_t)
+    inv = np.divide(1.0, dist, out=dist)
     tmp = _scratch(dphi.shape)[4]
     inv2_sum = np.multiply(inv, inv, out=tmp).sum(axis=2)
     csum = np.multiply(np.cos(dphi, out=tmp), inv, out=tmp).sum(axis=2)
     ssum = np.multiply(np.sin(dphi, out=tmp), inv, out=tmp).sum(axis=2)
-    eta = (csum * csum + ssum * ssum) / (n_elements * inv2_sum)
+    eta = (csum * csum + ssum * ssum) / (cfg.n_elements * inv2_sum)
     # Cauchy-Schwarz holds exactly; trim the few-ulp overshoot
     return np.minimum(eta, 1.0), inv2_sum
-
-
-def _eta_grid(cfg: ArrayConfig, r: np.ndarray, cos_t: np.ndarray) -> np.ndarray:
-    dist, _, dphi = geometry(cfg, r, cos_t)
-    return eta_and_inv2_sum(cfg.n_elements, np.divide(1.0, dist, out=dist), dphi)[0]
 
 
 def _at_value(cfg: ArrayConfig, pos: PolarPosition, grid_fn) -> float:
@@ -262,7 +268,7 @@ def e_l2_at(cfg: ArrayConfig, pos: PolarPosition) -> float:
 
 def array_gain_efficiency(cfg: ArrayConfig, pos: PolarPosition) -> float:
     """Squared normalized inner product of the two channel models, in [0, 1]."""
-    return _at_value(cfg, pos, _eta_grid)
+    return _at_value(cfg, pos, lambda *args: eta_grid(*args)[0])
 
 
 def _golden_max_batch(f, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int):
@@ -439,26 +445,18 @@ def worst_over_angle_batch(
     return values, theta_stars
 
 
-def worst_over_angle(
-    cfg: ArrayConfig, r: float, policy: AngleSearchPolicy, grid_fn
-) -> MetricSample:
-    """Scalar form of worst_over_angle_batch for one range."""
-    values, thetas = worst_over_angle_batch(cfg, np.array([r], dtype=float), policy, grid_fn)
-    return MetricSample(range_m=r, value=float(values[0]), theta_star=float(thetas[0]))
-
-
 def e_linf_worst(
     cfg: ArrayConfig, r: float, policy: AngleSearchPolicy | None = None
 ) -> MetricSample:
     """Worst-case single-element mismatch over the look angle at range r."""
-    return worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _linf_grid)
+    return MetricSample.of(r, e_linf_worst_batch(cfg, [r], policy))
 
 
 def e_l2_worst(
     cfg: ArrayConfig, r: float, policy: AngleSearchPolicy | None = None
 ) -> MetricSample:
     """Worst-case normalized total mismatch over the look angle at range r."""
-    return worst_over_angle(cfg, r, policy or AngleSearchPolicy(), _l2_grid)
+    return MetricSample.of(r, e_l2_worst_batch(cfg, [r], policy))
 
 
 def e_linf_worst_batch(

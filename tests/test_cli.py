@@ -1,15 +1,21 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
+import threading
 import time
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nearfield.link as link_mod
+import nearfield.metrics as metrics_mod
 import nearfield.sweep as sweep_mod
 from nearfield import (
     DEFAULT_BUDGET,
@@ -22,7 +28,7 @@ from nearfield import (
 )
 from nearfield.arrays import MAX_ELEMENTS, MAX_RANGE_M, MIN_RANGE_M
 from nearfield.boundaries import MAX_GRID_POINTS
-from nearfield.metrics import MAX_ANGLE_POINTS, MAX_ROW_CELLS
+from nearfield.metrics import MAX_ANGLE_POINTS, MAX_ROW_CELLS, MAX_THREADS, worker_count
 
 FAST = ["--points-per-decade", "200", "--coarse-angles", "181"]
 RADII = ("rayleigh", "epf", "spf", "sspf", "opt_linf", "opt_l2", "opt_se")
@@ -473,6 +479,140 @@ def test_bad_thread_count_exits_2(capsys, monkeypatch):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and "NEARFIELD_THREADS must be an integer" in err and not out
+
+
+def test_a_thread_count_above_the_limit_exits_2_before_any_thread_starts(capsys, monkeypatch):
+    message = f"NEARFIELD_THREADS must lie in [0, {MAX_THREADS}], got {MAX_THREADS + 1}"
+    monkeypatch.setenv("NEARFIELD_THREADS", str(MAX_THREADS + 1))
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        worker_count()
+    # four kernel blocks, which a pool of that size would spread over four threads
+    code, out, err = run_cli(capsys, "curve", "--metric", "linf", "--freq-ghz", "28",
+                             "--elements", "4", "--r-start", "1", "--r-stop", "10",
+                             "--r-points", "200")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert threading.active_count() == threads
+    monkeypatch.setenv("NEARFIELD_THREADS", str(MAX_THREADS))
+    assert worker_count() == MAX_THREADS
+    # the automatic count is never refused
+    monkeypatch.setattr(metrics_mod, "_usable_cores", lambda: MAX_THREADS + 1)
+    monkeypatch.setenv("NEARFIELD_THREADS", "0")
+    assert worker_count() == MAX_THREADS + 1
+
+
+def test_a_curve_out_path_in_a_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing-dir" / "x.csv"
+    code, out, err = run_cli(capsys, "curve", "--metric", "linf", "--freq-ghz", "28",
+                             "--elements", "4", "--r-start", "1", "--r-stop", "2",
+                             "--r-points", "3", "--out", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
+def test_a_reproduce_out_dir_that_is_a_file_exits_2_before_the_sweep(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("the sweep ran"))
+    path = tmp_path / "settings.json"
+    path.write_text("{}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "reproduce", "fig3-se", "--out-dir", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(path / "fig3-se") in err and err.count("\n") == 1
+
+
+# each flag's usual values and its edge pool, all of its argparse type; the
+# counts keep calls small (N <= 16, --points-per-decade <= 100,
+# --coarse-angles <= 31, --r-points <= 3) except above a limit, which is
+# refused before anything runs
+_EDGE_FLOATS = [1e-300, MIN_RANGE_M, 1e150, MAX_RANGE_M, 1e300, 0.0, -1.0, math.nan, math.inf,
+                -math.inf]
+_RANGES = ([0.05, 0.5, 5.0, 500.0], _EDGE_FLOATS)
+_SNR_DB = ([0.0, 40.0, 60.0], _EDGE_FLOATS)
+_FLAG_POOLS = {
+    "--freq-ghz": ([1.0, 28.0, 300.0], _EDGE_FLOATS),
+    "--elements": ([1, 2, 4, 16], [-1, 0, MAX_ELEMENTS + 1]),
+    "--spacing-m": ([1e-3, 5e-3, 0.5], _EDGE_FLOATS),
+    "--delta-inf": ([1e-3, 1e-2], _EDGE_FLOATS),
+    "--delta-2": ([1e-3, 0.1], _EDGE_FLOATS),
+    "--delta-se": ([0.05, 0.5, 5.0], _EDGE_FLOATS),
+    "--pilot-snr-db": _SNR_DB,
+    "--data-snr-db": _SNR_DB,
+    "--pilot-len": ([1, 64], [-1, 0, 10**6]),
+    "--points-per-decade": ([10, 20, 100], [-1, 0, 9, MAX_GRID_POINTS + 1]),
+    "--coarse-angles": ([3, 31], [-1, 0, 2, MAX_ANGLE_POINTS + 1]),
+    "--r-points": ([1, 2, 3], [-1, 0, MAX_GRID_POINTS + 1]),
+    "--r-start": _RANGES,
+    "--r-stop": _RANGES,
+    "--range-m": _RANGES,
+    "--theta-deg": ([0.0, 30.0, 90.0, 180.0], _EDGE_FLOATS),
+}
+_BUDGET = ("--pilot-snr-db", "--data-snr-db", "--pilot-len")
+_CONTRACT_FLAGS = {
+    "boundaries": (["--freq-ghz", "--elements", "--points-per-decade", "--coarse-angles"],
+                   ["--spacing-m", "--delta-inf", "--delta-2", "--delta-se", *_BUDGET]),
+    "curve": (["--freq-ghz", "--elements", "--r-start", "--r-stop", "--r-points"],
+              ["--spacing-m", "--coarse-angles", *_BUDGET]),
+    "se": (["--freq-ghz", "--elements", "--range-m"], ["--spacing-m", "--theta-deg", *_BUDGET]),
+}
+
+
+@st.composite
+def _contract_calls(draw):
+    """(argv, out): one boundaries, curve or se call whose flags take their
+    usual values but for at most two drawn from the edge pool; out is the
+    curve CSV path in the run directory, or None."""
+    command = draw(st.sampled_from(sorted(_CONTRACT_FLAGS)))
+    required, optional = _CONTRACT_FLAGS[command]
+    flags = required + [flag for flag in optional if draw(st.booleans())]
+    edgy = draw(st.sets(st.sampled_from(flags), max_size=2))
+    argv = [command]
+    for flag in flags:
+        usual, edge = _FLAG_POOLS[flag]
+        # "=" keeps a leading "-" a value
+        argv.append(f"{flag}={draw(st.sampled_from(edge if flag in edgy else usual))}")
+    out = None
+    if command == "curve":
+        argv.append(f"--metric={draw(st.sampled_from(['linf', 'l2', 'se']))}")
+        out = draw(st.sampled_from(["-", "curve.csv", "missing/curve.csv"]))
+        argv.append(f"--out={out}")
+    elif draw(st.booleans()):
+        argv.append("--json")
+    return argv, None if out == "-" else out
+
+
+def _numbers(text: str) -> list[float]:
+    numbers = []
+    for token in re.split(r"[\s,:{}\[\]\"()]+", text):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(call=_contract_calls())
+def test_every_cli_call_keeps_the_contract(tmp_path, monkeypatch, call):
+    # exit 0, 2 or 3 with no exception; one error line on a nonzero exit;
+    # on exit 0 an empty stderr and only finite numbers, printed or written
+    argv, out_name = call
+    monkeypatch.chdir(tmp_path)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), argv
+    if code:
+        assert re.fullmatch(r"(solver )?error: [^\n]+\n", err), (argv, err)
+        return
+    assert err == "", (argv, err)
+    text = stdout.getvalue()
+    if out_name is not None:
+        text += (tmp_path / out_name).read_text(encoding="utf-8")
+        (tmp_path / out_name).unlink()
+    assert all(math.isfinite(x) for x in _numbers(text)), (argv, text)
 
 
 ARRAY_FLAGS = {

@@ -449,16 +449,21 @@ def test_a_threads_workspace_stays_within_five_tiles():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are read on Linux")
-def test_a_warm_kernel_block_faults_in_no_pages(cfg300, monkeypatch):
+@pytest.mark.parametrize("batch", [
+    e_linf_worst_batch,
+    e_l2_worst_batch,
+    lambda cfg, rs: se_loss_worst_batch(cfg, rs, DEFAULT_BUDGET),
+], ids=["linf", "l2", "se"])
+def test_a_warm_kernel_block_faults_in_no_pages(cfg300, monkeypatch, batch):
     import resource
 
     monkeypatch.setenv("NEARFIELD_THREADS", "1")
     rs = np.geomspace(0.05, 30.0, 43)  # one kernel block at N = 64
     assert block_rows(cfg300, AngleSearchPolicy()) == 43
-    e_linf_worst_batch(cfg300, rs)
+    batch(cfg300, rs)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(3):
-        e_linf_worst_batch(cfg300, rs)
+        batch(cfg300, rs)
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
     # fresh (B, T, N) temporaries per tile faulted about 15,000 pages a call
     assert faults < 1000
