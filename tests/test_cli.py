@@ -492,7 +492,7 @@ def test_a_thread_count_above_the_limit_exits_2_before_any_thread_starts(capsys,
                              "--elements", "4", "--r-start", "1", "--r-stop", "10",
                              "--r-points", "200")
     assert (code, out, err) == (2, "", f"error: {message}\n")
-    assert threading.active_count() == threads
+    assert threading.active_count() <= threads  # idle threads of older pools may exit
     monkeypatch.setenv("NEARFIELD_THREADS", str(MAX_THREADS))
     assert worker_count() == MAX_THREADS
     # the automatic count is never refused
