@@ -34,7 +34,10 @@ The fixed set:
   with that file;
 - refusals: an unknown key, a fractional `pilot_len`, dB values that
   overflow or underflow (by flag and by key), malformed JSON, an array whose
-  phase 2*k*D overflows and a range below the smallest one;
+  phase 2*k*D overflows, a range below the smallest one, whole numbers
+  beyond the float range (`--elements`, `--pilot-len` and `reproduce
+  --curve-points` at 10**400) and a `--config` integer literal of 5,000
+  digits, past Python's integer conversion limit;
 - one element: `boundaries --json` at 1 and 28 GHz, `curve` linf and se at
   1 GHz, and `se --json` at the worst-case angle;
 - inputs at the edges of the float range: SE arithmetic that over- or
@@ -98,6 +101,7 @@ ALL_FLAGS = ["--spacing-m", "0.005", "--delta-inf", "5e-4", "--delta-2", "5e-4",
              "--delta-se", "0.4", "--pilot-snr-db", "35", "--data-snr-db", "55",
              "--pilot-len", "48", "--coarse-angles", "241", "--points-per-decade", "120"]
 BOUNDARIES_28 = ["boundaries", "--freq-ghz", "28", "--elements", "4", "--config", CONFIG]
+HUGE = str(10**400)  # a whole number beyond the float range
 
 
 def _solves(quick: bool):
@@ -185,6 +189,12 @@ def _cli_calls(quick: bool):
         ("refuse-underflowing-db-flag", [*BOUNDARIES_28, "--data-snr-db", "-4000"], ALL_KEYS),
         ("refuse-underflowing-db-key", BOUNDARIES_28, {"budget": {"data_snr_db": -4000}}),
         ("refuse-malformed-json", BOUNDARIES_28, "{not json"),
+        ("refuse-huge-elements", ["boundaries", "--freq-ghz", "28", "--elements", HUGE], None),
+        ("refuse-huge-pilot-len", [*BOUNDARIES_28[:-2], "--pilot-len", HUGE], None),
+        ("refuse-huge-curve-points", ["reproduce", "fig3-se", "--out-dir", "out",
+                                      "--curve-points", HUGE], None),
+        ("refuse-over-long-literal", BOUNDARIES_28,
+         '{"budget": {"pilot_len": 1' + "0" * 4999 + "}}"),
         *_single_element_calls(),
         *_edge_calls(),
         *_se_budget_calls(),
