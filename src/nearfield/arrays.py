@@ -31,23 +31,27 @@ class DegenerateGeometryError(ValueError):
     """The source position coincides with an array element (some R_n == 0)."""
 
 
-def require_finite(obj) -> None:
-    """Reject NaN and infinite fields of a numeric dataclass, naming the field;
-    None (an unset optional field) passes."""
-    for name, value in vars(obj).items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def require_whole(obj, *names: str) -> None:
-    """Reject fractional values of the named count fields of a frozen
-    dataclass, naming the field; a whole float (721.0 from a JSON file) is
-    stored as the int it stands for."""
-    for name in names:
-        value = getattr(obj, name)
-        if int(value) != value:
-            raise ValueError(f"{name} must be an integer, got {value}")
-        object.__setattr__(obj, name, int(value))
+def require_number(name: str, value, low=-math.inf, high=math.inf, *,
+                   positive: bool = False, whole: bool = False):
+    """`value` if it is a finite number (an int beyond the float range is
+    not), above 0 when `positive` and in [low, high]; with `whole` it must
+    be an integer and comes back as the int it stands for (721.0 from a JSON
+    file is 721).  Otherwise ValueError names `name` and the value."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if positive and not (finite and value > 0):
+        rule = "be finite and positive"
+    elif not finite:
+        rule = "be finite"
+    elif whole and int(value) != value:
+        rule = "be an integer"
+    elif not low <= value <= high:
+        rule = f"be at least {low}" if high == math.inf else f"lie in [{low}, {high}]"
+    else:
+        return int(value) if whole else value
+    raise ValueError(f"{name} must {rule}, got {value}")
 
 
 def require_ranges(name: str, r, aperture: float = 0.0) -> None:
@@ -79,19 +83,14 @@ class ArrayConfig:
     light_speed: float = LIGHT_SPEED
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_whole(self, "n_elements")
-        if self.carrier_freq <= 0:
-            raise ValueError(f"carrier_freq must be positive, got {self.carrier_freq}")
-        if not 1 <= self.n_elements <= MAX_ELEMENTS:
-            raise ValueError(f"n_elements must lie in [1, {MAX_ELEMENTS}], got {self.n_elements}")
-        if self.light_speed <= 0:
-            raise ValueError(f"light_speed must be positive, got {self.light_speed}")
+        require_number("carrier_freq", self.carrier_freq, positive=True)
+        object.__setattr__(self, "n_elements", require_number(
+            "n_elements", self.n_elements, 1, MAX_ELEMENTS, whole=True))
+        require_number("light_speed", self.light_speed, positive=True)
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
         # a tiny carrier frequency can still overflow the default spacing
-        if not 0.0 < self.spacing < math.inf:
-            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
+        require_number("spacing", self.spacing, positive=True)
         # 2*k*D bounds every phase gap the metrics compute; one element has
         # none.  Written without the wavelength, which may underflow to 0.
         phase = 4.0 * math.pi * self.carrier_freq / self.light_speed * self.aperture
@@ -129,8 +128,8 @@ class PolarPosition:
     range_m: float
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_ranges("range_m", self.range_m)
+        require_number("theta", self.theta)
+        require_ranges("range_m", require_number("range_m", self.range_m))
 
 
 def distances(r, nd, cos_t, out=None):

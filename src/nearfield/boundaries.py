@@ -9,7 +9,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .arrays import MAX_RANGE_M, ArrayConfig, require_finite, require_whole
+from .arrays import MAX_RANGE_M, ArrayConfig, require_number
 from .link import DEFAULT_BUDGET, LinkBudget, se_loss_bound, se_loss_worst, se_loss_worst_batch
 from .metrics import (
     AngleSearchPolicy,
@@ -39,12 +39,6 @@ class HorizonExceededError(RuntimeError):
     """Tolerance violations persist at the end of the scan horizon."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    """Reject a value that is NaN, infinite or not positive, naming it."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Application error budgets: per-meter, dimensionless, and bits/s/Hz."""
@@ -55,7 +49,7 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _require_positive(f.name, getattr(self, f.name))
+            require_number(f.name, getattr(self, f.name), positive=True)
 
 
 @dataclass(frozen=True)
@@ -71,12 +65,10 @@ class EnvelopeSearchPolicy:
     bisection_tol: ClassVar[float] = 1e-8  # relative width of the last-cell bisection
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_whole(self, "points_per_decade")
-        if self.r_min is not None and self.r_min <= 0:
-            raise ValueError("r_min must be positive")
-        if self.points_per_decade < 10:
-            raise ValueError("points_per_decade must be at least 10")
+        if self.r_min is not None:
+            require_number("r_min", self.r_min, positive=True)
+        object.__setattr__(self, "points_per_decade", require_number(
+            "points_per_decade", self.points_per_decade, 10, whole=True))
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ def rayleigh_distance(cfg: ArrayConfig) -> float:
 
 def sspf_distance(cfg: ArrayConfig, delta_inf: float) -> float:
     """Strict small-phase radius sqrt((k*D^2 + D) / (2*delta))."""
-    _require_positive("delta_inf", delta_inf)
+    require_number("delta_inf", delta_inf, positive=True)
     d_ap = cfg.aperture
     return math.sqrt((cfg.wavenumber * d_ap * d_ap + d_ap) / (2.0 * delta_inf))
 
@@ -148,7 +140,7 @@ def spf_distance(cfg: ArrayConfig, delta_inf: float) -> float:
     physical parameters has three real roots.  Solved in closed form via the
     trigonometric method; the returned root is the largest (the physical one).
     """
-    _require_positive("delta_inf", delta_inf)
+    require_number("delta_inf", delta_inf, positive=True)
     if cfg.n_elements < 2:
         raise ValueError("the cubic needs a nonzero aperture (n_elements >= 2)")
     d_sq = cfg.aperture * cfg.aperture
@@ -197,7 +189,7 @@ def epf_distance(
     """
     if cfg.n_elements < 2:
         raise ValueError("epf_distance needs a nonzero aperture (n_elements >= 2)")
-    _require_positive("delta_inf", delta_inf)
+    require_number("delta_inf", delta_inf, positive=True)
     policy = policy or EnvelopeSearchPolicy()
     r_min = resolve_r_min(cfg, policy)
     spf = spf_distance(cfg, delta_inf)
@@ -220,7 +212,7 @@ def l2_certification_bound(cfg: ArrayConfig, delta_2: float) -> float:
     The normalized total mismatch never exceeds (r + D) times the per-element
     worst case, so no violation of delta_2 can occur beyond this radius.
     """
-    _require_positive("delta_2", delta_2)
+    require_number("delta_2", delta_2, positive=True)
     d_ap = cfg.aperture
     if d_ap == 0.0:
         return 0.0
@@ -264,7 +256,7 @@ def linf_mismatch_bound(cfg: ArrayConfig, delta_inf: float) -> float:
     within 1e-8 of the kernel, so r_sat carries a relative margin of 1e-9
     for the kernel's rounding.
     """
-    _require_positive("delta_inf", delta_inf)
+    require_number("delta_inf", delta_inf, positive=True)
     d_ap = cfg.aperture
     r_inf = d_ap + math.sqrt((d_ap + 0.5 * cfg.wavenumber * d_ap * d_ap) / delta_inf)
     spread = delta_inf * d_ap
@@ -297,7 +289,7 @@ def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
     The 1e-9 margin covers the kernel's rounding, about 1e-15 relative.  At
     delta_2 <= 2 there is no such radius, and r_2 stands.
     """
-    _require_positive("delta_2", delta_2)
+    require_number("delta_2", delta_2, positive=True)
     x = cfg.element_offsets()
     # offsets whose powers overflow make A and r_2 inf, which the scan refuses
     with np.errstate(over="ignore"):
@@ -340,7 +332,7 @@ def se_gain_bound(cfg: ArrayConfig, delta_se: float, budget: LinkBudget) -> floa
     mismatch.  No property of eta enters: the bound is tight where the
     pilot-noise floor, not wavefront mismatch, sets opt_se.
     """
-    _require_positive("delta_se", delta_se)
+    require_number("delta_se", delta_se, positive=True)
     try:
         growth = math.expm1(delta_se * math.log(2.0))
     except OverflowError:  # 2^delta_se - 1 overflows: the root term's limit is 0
@@ -473,8 +465,8 @@ def optimal_radius(
     or horizon, raise ValueError; an infinite one, or a proven bound whose
     scan would start beyond MAX_RANGE_M, raises HorizonExceededError.
     """
-    _require_positive("delta", delta)
-    _require_positive("r_min", r_min)
+    require_number("delta", delta, positive=True)
+    require_number("r_min", r_min, positive=True)
     for name, value in (("analytic_bound", analytic_bound),
                         ("heuristic_horizon", heuristic_horizon),
                         ("proven_bound", proven_bound)):

@@ -9,7 +9,13 @@ import math
 import sys
 from pathlib import Path
 
-from .arrays import ArrayConfig, DegenerateGeometryError, PolarPosition, require_ranges
+from .arrays import (
+    ArrayConfig,
+    DegenerateGeometryError,
+    PolarPosition,
+    require_number,
+    require_ranges,
+)
 from .boundaries import (
     EnvelopeSearchPolicy,
     HorizonExceededError,
@@ -70,7 +76,7 @@ def _load_config_file(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("config file must contain a JSON object")
@@ -190,9 +196,7 @@ def cmd_se(args) -> int:
     budget = dataclasses.replace(DEFAULT_BUDGET, **_section(args, file_cfg, "budget"))
     require_ranges("range_m", args.range_m, cfg.aperture)
     if args.theta_deg is not None:
-        if not math.isfinite(args.theta_deg):
-            raise ValueError(f"theta_deg must be finite, got {args.theta_deg}")
-        theta = math.radians(args.theta_deg)
+        theta = math.radians(require_number("theta_deg", args.theta_deg))
     else:
         angle_policy = AngleSearchPolicy(**_section(args, file_cfg, "angle_policy"))
         worst = se_loss_worst(cfg, args.range_m, budget, angle_policy)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, PolarPosition, element_distances, require_finite, require_whole
+from .arrays import ArrayConfig, PolarPosition, element_distances, require_number
 from .metrics import (
     AngleSearchPolicy,
     MetricSample,
@@ -28,14 +28,10 @@ class LinkBudget:
     pilot_len: int
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_whole(self, "pilot_len")
-        if self.pilot_snr <= 0:
-            raise ValueError("pilot_snr must be positive")
-        if self.data_snr < 0:
-            raise ValueError("data_snr must be nonnegative")
-        if self.pilot_len < 1:
-            raise ValueError("pilot_len must be a positive integer")
+        require_number("pilot_snr", self.pilot_snr, positive=True)
+        require_number("data_snr", self.data_snr, 0)
+        object.__setattr__(self, "pilot_len", require_number(
+            "pilot_len", self.pilot_len, 1, whole=True))
 
 
 DEFAULT_BUDGET = LinkBudget(pilot_snr=1e4, data_snr=1e6, pilot_len=64)
@@ -66,8 +62,7 @@ def channel_gain(cfg: ArrayConfig, pos: PolarPosition) -> float:
 
 def se_optimal(gain: float, budget: LinkBudget) -> float:
     """Matched-filter spectral efficiency log2(1 + data_snr * G)."""
-    if gain < 0:
-        raise ValueError("gain must be nonnegative")
+    require_number("gain", gain, 0)
     return math.log1p(budget.data_snr * gain) / _LN2
 
 
@@ -86,10 +81,8 @@ def snr_mismatched(gain: float, eta: float, budget: LinkBudget) -> float:
     eta is the array-gain efficiency; the pilot-noise terms keep this strictly
     below eta * G * data_snr for any finite pilot energy.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not (math.isfinite(gain) and gain > 0):
-        raise ValueError(f"gain must be finite and positive, got {gain}")
+    require_number("eta", eta, 0, 1)
+    require_number("gain", gain, positive=True)
     return float(_snr_mismatched(gain, eta, budget))
 
 
@@ -228,7 +221,6 @@ def nmse_lower_bound(cfg: ArrayConfig, pos: PolarPosition, budget: LinkBudget) -
 
 def nmse_bias_approx(e_l2_value: float) -> float:
     """Small-mismatch bias approximation 1 - (1 - x^2/2)^2 of the NMSE floor."""
-    if e_l2_value < 0:
-        raise ValueError("mismatch value must be nonnegative")
+    require_number("e_l2_value", e_l2_value, 0)
     half_sq = 0.5 * e_l2_value * e_l2_value
     return 1.0 - (1.0 - half_sq) * (1.0 - half_sq)

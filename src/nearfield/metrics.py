@@ -17,9 +17,8 @@ from .arrays import (
     ArrayConfig,
     PolarPosition,
     distances,
-    require_finite,
+    require_number,
     require_ranges,
-    require_whole,
 )
 
 THETA_INSET = 1e-9
@@ -107,9 +106,7 @@ def worker_count() -> int:
         n = int(raw) if raw else 0
     except ValueError as exc:
         raise ValueError(f"NEARFIELD_THREADS must be an integer, got {raw!r}") from exc
-    if not 0 <= n <= MAX_THREADS:
-        raise ValueError(f"NEARFIELD_THREADS must lie in [0, {MAX_THREADS}], got {n}")
-    return n or _usable_cores()
+    return require_number("NEARFIELD_THREADS", n, 0, MAX_THREADS) or _usable_cores()
 
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None
@@ -153,11 +150,8 @@ class AngleSearchPolicy:
     refine_max_iter: ClassVar[int] = 200  # a safety cap that never binds
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_whole(self, "coarse_grid_points")
-        if not 3 <= self.coarse_grid_points <= MAX_ANGLE_POINTS:
-            raise ValueError(f"coarse_grid_points must lie in [3, {MAX_ANGLE_POINTS}], "
-                             f"got {self.coarse_grid_points}")
+        object.__setattr__(self, "coarse_grid_points", require_number(
+            "coarse_grid_points", self.coarse_grid_points, 3, MAX_ANGLE_POINTS, whole=True))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
 
-from .arrays import ArrayConfig, require_finite, require_ranges, require_whole
+from .arrays import ArrayConfig, require_number, require_ranges
 from .boundaries import (
     MAX_GRID_POINTS,
     BoundarySet,
@@ -54,15 +53,12 @@ class RangeGrid:
     points: int
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_whole(self, "points")
-        require_ranges("start", self.start)
-        if not 1 <= self.points <= MAX_GRID_POINTS:
-            raise ValueError(f"points must lie in [1, {MAX_GRID_POINTS}], got {self.points}")
-        # a single-point grid may end at its start, but never below it
-        if self.stop < self.start or (self.points >= 2 and self.stop == self.start):
-            raise ValueError(f"stop must lie above start {self.start}, got {self.stop}")
-        require_ranges("stop", self.stop)
+        require_ranges("start", require_number("start", self.start))
+        object.__setattr__(self, "points", require_number(
+            "points", self.points, 1, MAX_GRID_POINTS, whole=True))
+        # a single-point grid may end at its start, a longer one only above it
+        low = self.start if self.points == 1 else np.nextafter(self.start, np.inf)
+        require_ranges("stop", require_number("stop", self.stop, low))
 
     def values(self) -> np.ndarray:
         return np.geomspace(self.start, self.stop, self.points)
@@ -84,12 +80,8 @@ class SweepSpec:
         unknown = [m for m in self.metrics if m not in METRIC_NAMES]
         if unknown:
             raise ValueError(f"unknown metrics {unknown}; choose from {METRIC_NAMES}")
-        if not math.isfinite(self.auto_grid_points):
-            raise ValueError(f"auto_grid_points must be finite, got {self.auto_grid_points}")
-        require_whole(self, "auto_grid_points")
-        if not 1 <= self.auto_grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"auto_grid_points must lie in [1, {MAX_GRID_POINTS}], "
-                             f"got {self.auto_grid_points}")
+        object.__setattr__(self, "auto_grid_points", require_number(
+            "auto_grid_points", self.auto_grid_points, 1, MAX_GRID_POINTS, whole=True))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nearfield.link as link_mod
@@ -341,9 +341,11 @@ def test_invalid_values_exit_2(capsys, tmp_path):
         ('{"tolerances": 0.001}', "config section 'tolerances' must be an object"),
         ('{"tolerances": {"delta_inf": "0.001"}}', "tolerances.delta_inf must be a number"),
         ('{"budget": {"pilot_len": true}}', "budget.pilot_len must be a number"),
+        # json.load refuses it with a bare ValueError that names no file
+        ('{"budget": {"pilot_len": 1' + "0" * 4999 + "}}", "settings.json is not valid JSON"),
     ],
     ids=["unreadable", "not-an-object", "unknown-section", "section-not-an-object",
-         "string-value", "bool-value"],
+         "string-value", "bool-value", "integer-past-the-digit-limit"],
 )
 def test_malformed_config_file_exits_2(capsys, tmp_path, content, message):
     path = tmp_path / "settings.json"
@@ -522,24 +524,25 @@ def test_a_reproduce_out_dir_that_is_a_file_exits_2_before_the_sweep(capsys, tmp
 # each flag's usual values and its edge pool, all of its argparse type; the
 # counts keep calls small (N <= 16, --points-per-decade <= 100,
 # --coarse-angles <= 31, --r-points <= 3) except above a limit, which is
-# refused before anything runs
+# refused before anything runs, as is a whole number beyond the float range
+_HUGE = 10**400
 _EDGE_FLOATS = [1e-300, MIN_RANGE_M, 1e150, MAX_RANGE_M, 1e300, 0.0, -1.0, math.nan, math.inf,
                 -math.inf]
 _RANGES = ([0.05, 0.5, 5.0, 500.0], _EDGE_FLOATS)
 _SNR_DB = ([0.0, 40.0, 60.0], _EDGE_FLOATS)
 _FLAG_POOLS = {
     "--freq-ghz": ([1.0, 28.0, 300.0], _EDGE_FLOATS),
-    "--elements": ([1, 2, 4, 16], [-1, 0, MAX_ELEMENTS + 1]),
+    "--elements": ([1, 2, 4, 16], [-1, 0, MAX_ELEMENTS + 1, _HUGE]),
     "--spacing-m": ([1e-3, 5e-3, 0.5], _EDGE_FLOATS),
     "--delta-inf": ([1e-3, 1e-2], _EDGE_FLOATS),
     "--delta-2": ([1e-3, 0.1], _EDGE_FLOATS),
     "--delta-se": ([0.05, 0.5, 5.0], _EDGE_FLOATS),
     "--pilot-snr-db": _SNR_DB,
     "--data-snr-db": _SNR_DB,
-    "--pilot-len": ([1, 64], [-1, 0, 10**6]),
-    "--points-per-decade": ([10, 20, 100], [-1, 0, 9, MAX_GRID_POINTS + 1]),
-    "--coarse-angles": ([3, 31], [-1, 0, 2, MAX_ANGLE_POINTS + 1]),
-    "--r-points": ([1, 2, 3], [-1, 0, MAX_GRID_POINTS + 1]),
+    "--pilot-len": ([1, 64], [-1, 0, 10**6, _HUGE]),
+    "--points-per-decade": ([10, 20, 100], [-1, 0, 9, MAX_GRID_POINTS + 1, _HUGE]),
+    "--coarse-angles": ([3, 31], [-1, 0, 2, MAX_ANGLE_POINTS + 1, _HUGE]),
+    "--r-points": ([1, 2, 3], [-1, 0, MAX_GRID_POINTS + 1, _HUGE]),
     "--r-start": _RANGES,
     "--r-stop": _RANGES,
     "--range-m": _RANGES,
@@ -592,9 +595,19 @@ def _numbers(text: str) -> list[float]:
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(call=_contract_calls())
+# a count beyond the float range at each flag that takes one; the 100 drawn
+# calls reach few of them
+@example(call=(["boundaries", "--freq-ghz=28", f"--elements={_HUGE}"], None))
+@example(call=(["boundaries", "--freq-ghz=28", "--elements=4", f"--pilot-len={_HUGE}"], None))
+@example(call=(["boundaries", "--freq-ghz=28", "--elements=4",
+                f"--points-per-decade={_HUGE}"], None))
+@example(call=(["boundaries", "--freq-ghz=28", "--elements=4", f"--coarse-angles={_HUGE}"], None))
+@example(call=(["curve", "--metric=linf", "--freq-ghz=28", "--elements=4", "--r-start=1",
+                "--r-stop=2", f"--r-points={_HUGE}"], None))
 def test_every_cli_call_keeps_the_contract(tmp_path, monkeypatch, call):
-    # exit 0, 2 or 3 with no exception; one error line on a nonzero exit;
-    # on exit 0 an empty stderr and only finite numbers, printed or written
+    # exit 0, 2 or 3 with no exception; one error line on a nonzero exit, and
+    # exit 2 for a count beyond the float range, which no float can hold; on
+    # exit 0 an empty stderr and only finite numbers, printed or written
     argv, out_name = call
     monkeypatch.chdir(tmp_path)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -606,6 +619,7 @@ def test_every_cli_call_keeps_the_contract(tmp_path, monkeypatch, call):
     assert code in (0, 2, 3), argv
     if code:
         assert re.fullmatch(r"(solver )?error: [^\n]+\n", err), (argv, err)
+        assert code == 2 or not any(arg.endswith(f"={_HUGE}") for arg in argv), (argv, err)
         return
     assert err == "", (argv, err)
     text = stdout.getvalue()

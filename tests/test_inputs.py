@@ -16,16 +16,22 @@ from nearfield import (
     LinkBudget,
     PolarPosition,
     Tolerances,
+    cli,
     epf_distance,
     l2_certification_bound,
     l2_mismatch_bound,
     linf_mismatch_bound,
+    nmse_bias_approx,
     optimal_radius,
     se_gain_bound,
+    se_optimal,
+    snr_mismatched,
     spf_distance,
     sspf_distance,
 )
 from nearfield.sweep import RangeGrid, SweepSpec
+
+HUGE = 10**400  # a whole number beyond the float range
 
 ONE_CONFIG = dict(configs=(ArrayConfig(carrier_freq=1e9, n_elements=4),))
 
@@ -87,6 +93,38 @@ def test_fractional_count_rejected_by_name(make, base, name, value):
     # a whole float (as a JSON config file may carry) is stored as an int
     whole = getattr(make(**base, **{name: math.ceil(value) + 0.0}), name)
     assert whole == math.ceil(value) and type(whole) is int
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {HUGE}$"):
+        make(**base, **{name: HUGE})
+
+
+BOUNDARIES = ["boundaries", "--freq-ghz", "28", "--elements", "4"]
+# every int flag and count key, with the field that reports it
+HUGE_COUNTS = {
+    "--elements": (["boundaries", "--freq-ghz", "28", "--elements", str(HUGE)], "n_elements"),
+    "--pilot-len": ([*BOUNDARIES, "--pilot-len", str(HUGE)], "pilot_len"),
+    "--coarse-angles": ([*BOUNDARIES, "--coarse-angles", str(HUGE)], "coarse_grid_points"),
+    "--points-per-decade": ([*BOUNDARIES, "--points-per-decade", str(HUGE)], "points_per_decade"),
+    "--r-points": (["curve", "--metric", "linf", "--freq-ghz", "28", "--elements", "4",
+                    "--r-start", "1", "--r-stop", "2", "--r-points", str(HUGE)], "points"),
+    "--curve-points": (["reproduce", "fig3-se", "--curve-points", str(HUGE)], "auto_grid_points"),
+    "budget.pilot_len": ([*BOUNDARIES], "pilot_len"),
+    "angle_policy.coarse_grid_points": ([*BOUNDARIES], "coarse_grid_points"),
+    "envelope_policy.points_per_decade": ([*BOUNDARIES], "points_per_decade"),
+}
+
+
+@pytest.mark.parametrize("source", HUGE_COUNTS)
+def test_a_count_beyond_the_float_range_exits_2_naming_its_field(capsys, tmp_path, source):
+    argv, name = HUGE_COUNTS[source]
+    if "." in source:
+        section, key = source.split(".")
+        path = tmp_path / "settings.json"
+        path.write_text(f'{{"{section}": {{"{key}": {HUGE}}}}}', encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+    elif argv[0] == "reproduce":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    code = cli.main(argv)
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {name} must be finite, got {HUGE}\n")
 
 
 def test_inner_solver_tolerances_are_class_constants():
@@ -138,6 +176,27 @@ def test_bad_tolerance_rejected_by_name(solve, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {value}$"):
         solve(cfg, value)
     solve(cfg, 1e-3)
+
+
+# the link functions a gain, eta or mismatch value enters directly
+LINK_ARGS = [
+    (lambda value: se_optimal(value, DEFAULT_BUDGET), "gain"),
+    (lambda value: snr_mismatched(value, 0.5, DEFAULT_BUDGET), "gain"),
+    (lambda value: snr_mismatched(1e-9, value, DEFAULT_BUDGET), "eta"),
+    (nmse_bias_approx, "e_l2_value"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name", LINK_ARGS, ids=["se_optimal", "snr_mismatched.gain", "snr_mismatched.eta",
+                                  "nmse_bias_approx"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, HUGE],
+                         ids=["nan", "inf", "-inf", "huge"])
+def test_non_finite_link_argument_rejected_by_name(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)
+    assert math.isfinite(call(0.5))
 
 
 # optimal_radius's bounds and horizon must be positive; None means "not given".
