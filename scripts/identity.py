@@ -6,8 +6,9 @@
 `record` runs the fixed set once per thread count, each time in a fresh
 interpreter that imports nearfield from PATH/src (default: this checkout)
 with NEARFIELD_THREADS set to that count.  It writes every radius and value
-as `repr`, every cell of every CSV file the CLI writes, and the SHA-256 of
-every output file and of every command's stdout and stderr.  It exits 1
+as `repr`, every cell of every CSV file the CLI writes, the SHA-256 of
+every output file and of every command's stdout, and every command's stderr
+as text, so `compare` shows a refusal's wording old -> new.  It exits 1
 after writing OUT.json when an entry differs between thread counts, and
 lists those entries on stderr; it exits 2 when a run fails.  `compare` lists every entry that moved from
 A to B, old -> new with its relative change, prints the count, and exits 1
@@ -33,7 +34,8 @@ The fixed set:
   with every settings flag given over the file, and `curve` and `se --json`
   with that file;
 - refusals: an unknown key, a fractional `pilot_len`, dB values that
-  overflow or underflow (by flag and by key), malformed JSON, an array whose
+  overflow or underflow (by flag and by key), a dB key beyond the float
+  range (a negative integer of 401 digits), malformed JSON, an array whose
   phase 2*k*D overflows, a range below the smallest one, whole numbers
   beyond the float range (`--elements`, `--pilot-len` and `reproduce
   --curve-points` at 10**400) and a `--config` integer literal of 5,000
@@ -53,7 +55,8 @@ The fixed set:
 - direct library calls at 28 GHz, N = 4 and 64, and 300 GHz, N = 64, at
   0.5 m and 5 m: `e_linf_worst`, `e_l2_worst` and `se_loss_worst` (value and
   theta*), and at look angles 0.3 and 1.6 rad `e_linf_at`, `e_l2_at`,
-  `array_gain_efficiency` and every field of `se_loss`.
+  `array_gain_efficiency` and every field of `se_loss`, and an `ArrayConfig`
+  whose n_elements is an integer of 5,001 digits.
 
 Each CLI call prints every warning it raises, once per source line, so a
 warning lands in the stderr entry of each call that raises it.
@@ -188,6 +191,7 @@ def _cli_calls(quick: bool):
          {"budget": {"pilot_snr_db": 4000}}),
         ("refuse-underflowing-db-flag", [*BOUNDARIES_28, "--data-snr-db", "-4000"], ALL_KEYS),
         ("refuse-underflowing-db-key", BOUNDARIES_28, {"budget": {"data_snr_db": -4000}}),
+        ("refuse-huge-negative-db-key", BOUNDARIES_28, {"budget": {"data_snr_db": -10**400}}),
         ("refuse-malformed-json", BOUNDARIES_28, "{not json"),
         ("refuse-huge-elements", ["boundaries", "--freq-ghz", "28", "--elements", HUGE], None),
         ("refuse-huge-pilot-len", [*BOUNDARIES_28[:-2], "--pilot-len", HUGE], None),
@@ -277,6 +281,9 @@ def _library_entries(nearfield, quick: bool) -> dict:
                 k: repr(v)
                 for k, v in dataclasses.asdict(nearfield.se_loss(cfg, pos, budget)).items()
             })
+    if not quick:
+        _guard(out, "lib/ArrayConfig/huge-n_elements",
+               lambda: repr(nearfield.ArrayConfig(carrier_freq=1e9, n_elements=10**5000)))
     return out
 
 
@@ -358,7 +365,7 @@ def entries(tree: Path, quick: bool) -> dict:
                 os.chdir(cwd)
             out[f"cli/{label}/exit"] = repr(code)
             out[f"cli/{label}/stdout"] = _sha256(stdout.getvalue().encode("utf-8"))
-            out[f"cli/{label}/stderr"] = _sha256(stderr.getvalue().encode("utf-8"))
+            out[f"cli/{label}/stderr"] = stderr.getvalue()
             if "--json" in argv and code == 0:
                 for name, value in _json_leaves(json.loads(stdout.getvalue())).items():
                     out[f"cli/{label}/json{name}"] = value
@@ -403,6 +410,11 @@ def _relative(old: str | None, new: str | None) -> str:
     return f" (rel {(b - a) / abs(a):+.3g})"
 
 
+def _shown(value: str | None) -> str | None:
+    """A value as compare prints it: text that spans lines as its repr."""
+    return repr(value) if value is not None and "\n" in value else value
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a_runs = json.loads(a_path.read_text(encoding="utf-8"))["runs"]
     b_runs = json.loads(b_path.read_text(encoding="utf-8"))["runs"]
@@ -414,7 +426,8 @@ def compare(a_path: Path, b_path: Path) -> int:
             old, new = a.get(key), b.get(key)
             if old != new:
                 moved += 1
-                print(f"threads={count} {key}: {old} -> {new}{_relative(old, new)}")
+                print(f"threads={count} {key}: {_shown(old)} -> {_shown(new)}"
+                      f"{_relative(old, new)}")
     print(f"{moved} moved of {total} entries")
     return 1 if moved else 0
 
