@@ -51,7 +51,19 @@ def require_number(name: str, value, low=-math.inf, high=math.inf, *,
         rule = f"be at least {low}" if high == math.inf else f"lie in [{low}, {high}]"
     else:
         return int(value) if whole else value
-    raise ValueError(f"{name} must {rule}, got {value}")
+    raise ValueError(f"{name} must {rule}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """`value` as a message prints it; an int past Python's limit on integer
+    string conversion by its sign and number of digits."""
+    try:
+        return f"{value}"
+    except ValueError:
+        size = abs(value)
+        digits = int((size.bit_length() - 1) * math.log10(2.0)) + 1  # or one more
+        digits += size >= 10**digits
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
 
 
 def require_ranges(name: str, r, aperture: float = 0.0) -> None:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .arrays import MAX_RANGE_M, ArrayConfig, require_number
+from .arrays import MAX_RANGE_M, MIN_RANGE_M, ArrayConfig, require_number
 from .link import DEFAULT_BUDGET, LinkBudget, se_loss_bound, se_loss_worst, se_loss_worst_batch
 from .metrics import (
     AngleSearchPolicy,
@@ -23,6 +24,9 @@ from .metrics import (
 
 # Ranges per window of the last-crossing scan for a metric with no kernel block.
 _SCAN_CHUNK = 256
+
+# smallest normal float: below it a bound's rounding is no longer relative
+_TINY = sys.float_info.min
 
 MAX_GRID_POINTS = 1_000_000
 """Most points a scan or curve grid may hold, about 50 times a default scan
@@ -300,6 +304,65 @@ def l2_mismatch_bound(cfg: ArrayConfig, delta_2: float) -> float:
     return min(r_2, r_sat)
 
 
+def _mismatch_majorant(cfg: ArrayConfig, ranges, *, total: bool) -> np.ndarray:
+    """Upper bound on the kernel's worst-case mismatch over the look angle at
+    each range: linf, or l2 with `total`; inf where no bound holds.
+
+    Write u = r - D, s = sin^2(theta), x = n*d <= D, and take r > D.  As in
+    linf_mismatch_bound, R_n - r + x*cos = x^2*s / (R_n + r - x*cos), whose
+    denominator is at least 2*u, so |R_n - r| <= x*|cos| + x^2*s/(2*u) and
+    |dphi_n| <= k*x^2*s/(2*u); with R_n*r >= u^2 and |sin v| <= |v| the
+    kernel's split gives
+
+        |e_n|^2 <= [(x*|cos| + x^2*s/(2*u))^2 + (k*x^2*s/2)^2] / u^4.
+
+    Bounding |cos| by 1 in the cross term and cos^2 = 1 - s elsewhere leaves
+    a convex quadratic in s on [0, 1], so its maximum sits at s = 0 or s = 1:
+    |e_n|^2 <= x^2 * max(1, t + t^2/4 + b^2) / u^4 with t = x/u and
+    b = k*x/2.  The right side grows with x, so linf takes x = D.  A sum of
+    convex quadratics is convex, so sum_n |e_n|^2 is at most the larger of
+    the two endpoint sums, and l2 divides it by
+    sum_n 1/(r + x_n)^2 <= sum_n 1/R_n^2.  Everything is computed in the
+    ratios t, r/u and b, with the factor D/u taken out, so no power of an
+    extreme offset under- or overflows.
+
+    The bound takes a relative margin of 1e-9 and, for the phase gap's
+    rounding error of about k*x*2^-53 (see _require_above_l2_floor), adds
+    k*D*2^-50/u, times r + D for l2, so it bounds the kernel's rounded
+    values too.  It is inf at r <= D, at ranges the kernel refuses (so a
+    scan still reaches the kernel's refusal), where the kernel's sums of N
+    squared mismatches or of N terms 1/R_n^2 <= 1/u^2 may overflow, and
+    wherever a term is not finite or the bound is not a normal float.
+    """
+    r = np.asarray(ranges, dtype=float)
+    d_ap = cfg.aperture
+    x = cfg.element_offsets() if total else np.array([d_ap])
+    q2 = (x / d_ap) ** 2
+    # float-edge terms come out inf, 0 or NaN; the check below refuses them
+    with np.errstate(all="ignore"):
+        u = r - d_ap
+        t = x / u[:, None]
+        scale = d_ap / u
+        # the s = 1 end of each element's bound, over x^2
+        broadside = t + 0.25 * t * t + (0.5 * cfg.wavenumber * x) ** 2
+        # the bound on each element's |e_n| (x = D), which caps each kernel term
+        element = scale * np.sqrt(np.maximum(1.0, broadside[:, -1])) / u
+        slack = cfg.wavenumber * d_ap * 2.0**-50 / u
+        if total:
+            peak = np.maximum(q2.sum(), (q2 * broadside).sum(axis=1))
+            gain = (1.0 / ((r / u)[:, None] + t) ** 2).sum(axis=1)  # sum 1/(r + x)^2, times u^2
+            bound = scale * np.sqrt(peak / gain)
+            slack *= r + d_ap
+        else:
+            bound = element
+        value = (1.0 + 1e-9) * bound + slack
+        # the kernel sums N squared mismatches and N terms 1/R_n^2 <= 1/u^2
+        fits = np.isfinite(2.0 * cfg.n_elements * (element * element + 4.0 / (u * u)))
+    ok = ((u > 0.0) & (r >= MIN_RANGE_M) & (r + d_ap <= MAX_RANGE_M) & fits
+          & (value >= _TINY) & np.isfinite(value))
+    return np.where(ok, value, math.inf)
+
+
 def _require_above_l2_floor(cfg: ArrayConfig, delta_2: float) -> None:
     """Refuse a delta_2 at or below k*D*2^-52, the l2 kernel's rounding floor.
 
@@ -519,8 +582,9 @@ def boundary_set(
 
     The opt_linf and opt_l2 scans start at linf_mismatch_bound and
     l2_mismatch_bound, and the SE scan at se_gain_bound, one kernel block per
-    window and per kernel call; the SE scan skips every window where
-    se_loss_bound stays below delta_se.  The grids still end at twice spf and
+    window and per kernel call.  Each scan skips every window where its
+    per-range majorant stays below the tolerance: _mismatch_majorant for
+    linf and l2, se_loss_bound for SE.  The grids still end at twice spf and
     twice l2_certification_bound (at the heuristic horizon for SE), or at the
     proven bound where that lies beyond; that end only fixes where the grid
     points sit.  A delta_2 at or below the l2 kernel's rounding floor
@@ -557,8 +621,10 @@ def boundary_set(
         epf = epf_distance(cfg, tol.delta_inf, envelope_policy)
         opt_linf = solve(e_linf_worst, e_linf_worst_batch, (angle_policy,), tol.delta_inf,
                          analytic_bound=spf,
-                         proven_bound=linf_mismatch_bound(cfg, tol.delta_inf))
-        opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2, **l2_bounds)
+                         proven_bound=linf_mismatch_bound(cfg, tol.delta_inf),
+                         majorant=partial(_mismatch_majorant, cfg, total=False))
+        opt_l2 = solve(e_l2_worst, e_l2_worst_batch, (angle_policy,), tol.delta_2, **l2_bounds,
+                       majorant=partial(_mismatch_majorant, cfg, total=True))
     opt_se = solve(se_loss_worst, se_loss_worst_batch, (budget, angle_policy), tol.delta_se,
                    heuristic_horizon=max(rayleigh, sspf, r_min),
                    proven_bound=se_gain_bound(cfg, tol.delta_se, budget),

@@ -94,7 +94,9 @@ def _load_config_file(path: str) -> dict:
 
 
 def _db_to_linear(name: str, db: float) -> float:
-    """The linear ratio of `db` decibels; one that overflows or is 0 is refused by name."""
+    """The linear ratio of `db` decibels; a dB value that is not finite, or a
+    ratio that overflows or is 0, is refused by name."""
+    require_number(name, db)
     try:
         linear = 10.0 ** (db / 10.0)
     except OverflowError:

@@ -31,7 +31,13 @@ from nearfield import (
 )
 from nearfield import boundaries
 from nearfield.arrays import MAX_RANGE_M
-from nearfield.boundaries import _SCAN_CHUNK, MAX_SCAN_FACTOR, _last_crossing, _log_grid
+from nearfield.boundaries import (
+    _SCAN_CHUNK,
+    MAX_SCAN_FACTOR,
+    _last_crossing,
+    _log_grid,
+    _mismatch_majorant,
+)
 from nearfield.link import DEFAULT_BUDGET, se_loss_worst, se_loss_worst_batch
 from nearfield.metrics import block_rows, e_l2_worst, e_l2_worst_batch, e_linf_worst_batch
 
@@ -462,6 +468,78 @@ def test_linf_bound_dominates_the_kernel_at_wide_spacings(freq_ghz, n_elements, 
     assert r > d_ap
     linf = e_linf_worst_batch(cfg, np.array([r]))[0][0]
     assert r <= linf_mismatch_bound(cfg, linf)
+
+
+def _assert_majorants_dominate(cfg, r, dense=False):
+    """Each mismatch majorant at r lies at or above the kernel's worst case
+    (and the dense oracle's with `dense`); their rounding allowance is part
+    of them, so no slack is added here."""
+    for total, batch, oracle in ((False, e_linf_worst_batch, oracles.linf_dense_max),
+                                 (True, e_l2_worst_batch, oracles.l2_dense_max)):
+        bound = _mismatch_majorant(cfg, [r], total=total)[0]
+        assert batch(cfg, np.array([r]))[0][0] <= bound, (total, r)
+        if dense:
+            assert oracle(cfg, r, n_angles=4_000)[0] <= bound < math.inf, (total, r)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    freq_ghz=st.floats(0.5, 300.0),
+    n_elements=st.integers(2, 64),
+    spacing_exp=st.floats(-2.0, 1.0),
+    depth=st.floats(-8.0, 0.0),
+    far_exp=st.floats(0.0, 30.0),
+)
+def test_mismatch_majorants_dominate_the_kernels(freq_ghz, n_elements, spacing_exp, depth,
+                                                 far_exp):
+    """At spacings of 1e-2 to 10 wavelengths: against the kernels and the
+    dense oracles at r in (D, 10^4 * r_min], and against the kernels alone
+    at r = D*(1 + 10^far_exp), out to where the kernels' phase gap is
+    rounding noise (the oracles' phases lose every digit there)."""
+    lam = 3e8 / (freq_ghz * 1e9)
+    cfg = ArrayConfig(carrier_freq=freq_ghz * 1e9, n_elements=n_elements,
+                      spacing=lam * 10**spacing_exp)
+    d_ap = cfg.aperture
+    r = d_ap + (1e4 * resolve_r_min(cfg, EnvelopeSearchPolicy()) - d_ap) * 10**depth
+    assert r > d_ap
+    _assert_majorants_dominate(cfg, r, dense=True)
+    _assert_majorants_dominate(cfg, d_ap * (1.0 + 10**far_exp))
+
+
+@pytest.mark.parametrize("cfg, ratios", [
+    # D = 1.5e-151 m, where raw powers x**4 underflow; opt_linf sits near 1e77*D
+    (ArrayConfig(carrier_freq=1e159, n_elements=2), (2.0, 1e3, 1e30, 1e77, 1e150)),
+    # (k*D)**2 = 4e303
+    (ArrayConfig(carrier_freq=1e9, n_elements=4, spacing=1e150), (1.001, 2.0, 1e3)),
+], ids=["1e150GHz-N2", "1e150m-spacing"])
+def test_mismatch_majorants_dominate_the_kernels_at_the_float_edges(cfg, ratios):
+    for ratio in ratios:
+        _assert_majorants_dominate(cfg, ratio * cfg.aperture)
+    for total in (False, True):
+        bounds = _mismatch_majorant(cfg, [2.0 * cfg.aperture, 1e3 * cfg.aperture], total=total)
+        assert np.all(np.isfinite(bounds))
+
+
+def test_mismatch_majorants_have_no_value_where_the_kernels_have_none(cfg300):
+    d_ap = cfg300.aperture
+    for total in (False, True):
+        bound = _mismatch_majorant(cfg300, [0.5 * d_ap, d_ap, 1.001 * d_ap, 1.5 * MAX_RANGE_M],
+                                   total=total)
+        assert np.isinf(bound).tolist() == [True, True, False, True]
+    # a range the kernels refuse is left to them, so a scan still meets the refusal
+    tiny = ArrayConfig(carrier_freq=1e9, n_elements=2, spacing=1e-160)
+    assert np.all(np.isinf(_mismatch_majorant(tiny, [1e-155, 1e-154], total=False)))
+
+
+def test_linf_l2_scans_skip_the_windows_their_majorants_clear(monkeypatch):
+    """At 28 GHz / 4 elements the scans evaluated 128 and 256 ranges; the
+    flagship's stay at 43 (test_flagship_linf_l2_scans_stop_at_the_majorants)."""
+    seen_linf = _count_ranges(monkeypatch, "e_linf_worst_batch")
+    seen_l2 = _count_ranges(monkeypatch, "e_l2_worst_batch")
+    bounds = boundary_set(ArrayConfig(carrier_freq=28e9, n_elements=4))
+    assert (sum(seen_linf), sum(seen_l2)) == (64, 64)
+    assert (bounds.opt_linf, bounds.opt_l2) == (8.702562893572162, 41.652022659130665)
+    assert bounds.opt_linf_certified and bounds.opt_l2_certified
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,27 @@ def test_a_count_beyond_the_float_range_exits_2_naming_its_field(capsys, tmp_pat
     assert (code, *capsys.readouterr()) == (2, "", f"error: {name} must be finite, got {HUGE}\n")
 
 
+@pytest.mark.parametrize("value, shown", [
+    (10**5000, "an integer of 5001 digits"),
+    (-(10**5000) + 1, "a negative integer of 5000 digits"),
+    (10**4400 - 1, "an integer of 4400 digits"),
+], ids=["5001-digits", "negative-5000-digits", "4400-digits"])
+def test_an_integer_too_long_to_print_is_refused_by_its_digits(value, shown):
+    # formatting it raised Python's integer string conversion error, naming no field
+    with pytest.raises(ValueError, match=f"^n_elements must be finite, got {shown}$"):
+        ArrayConfig(carrier_freq=1e9, n_elements=value)
+
+
+@pytest.mark.parametrize("db", [-(10**400), 10**400], ids=["-huge", "huge"])
+def test_a_db_key_beyond_the_float_range_is_refused_as_not_finite(capsys, tmp_path, db):
+    # a huge negative one was called an overflow, though its ratio underflows
+    path = tmp_path / "settings.json"
+    path.write_text(f'{{"budget": {{"data_snr_db": {db}}}}}', encoding="utf-8")
+    code = cli.main([*BOUNDARIES, "--config", str(path)])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: budget.data_snr_db must be finite, got {db}\n")
+
+
 def test_inner_solver_tolerances_are_class_constants():
     # no caller varies them, so they are neither fields nor config keys
     for cls, name, value in (
